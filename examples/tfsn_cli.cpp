@@ -21,10 +21,14 @@
 // store consulted before recomputing, and `serve --prewarm-frac=F`
 // bulk-computes the hottest F of holders before traffic. All three are
 // representation/locality knobs only — teams and the --replay digest are
-// bit-identical across every combination. `team` additionally takes --seed-threads=N to run
-// each formation's seed loop on N workers over the task-local dense view
-// (results are identical for every setting) and --eval-path=auto|view|
-// oracle to pin the evaluation path.
+// bit-identical across every combination. `team` additionally takes
+// --seed-threads=N to run each formation's seed loop on N workers over
+// the task-local dense view (results are identical for every setting) and
+// --eval-path=view|oracle to pick the evaluation path: the dense view
+// (default; the oracle loop only when the view cannot be built) or the
+// pair-by-pair oracle reference. It prints the path taken: `view`,
+// `oracle`, or `oracle fallback` when the view could not be built (byte
+// budget, or a graph of 2^15 nodes or more).
 //
 // Robustness knobs (see README "Robustness"): `serve --deadline-ms=B`
 // stamps every generated request with a B-millisecond SLO budget;
@@ -101,7 +105,7 @@ int Usage() {
                "        --compress=on|off compressed in-cache rows\n"
                "        --spill-dir=D spill evicted rows to disk under D\n"
                "        --seed-threads=N team seed-loop workers (0 = auto)\n"
-               "        --eval-path=auto|view|oracle team evaluation path\n");
+               "        --eval-path=view|oracle team evaluation path\n");
   return 1;
 }
 
@@ -229,12 +233,10 @@ int CmdTeam(const Flags& flags) {
   params.prefetch_threads = threads == 1 ? 0 : ResolveThreads(threads);
   params.seed_threads =
       static_cast<uint32_t>(flags.GetInt("seed_threads", 1));
-  std::string path = flags.GetString("eval_path", "auto");
-  if (path == "view") {
-    params.eval_path = GreedyEvalPath::kView;
-  } else if (path == "oracle") {
+  std::string path = flags.GetString("eval_path", "view");
+  if (path == "oracle") {
     params.eval_path = GreedyEvalPath::kOracle;
-  } else if (path != "auto") {
+  } else if (path != "view") {
     std::fprintf(stderr, "unknown eval path '%s'\n", path.c_str());
     return 1;
   }
@@ -289,6 +291,10 @@ int CmdTeam(const Flags& flags) {
 
   uint32_t topk = static_cast<uint32_t>(flags.GetInt("topk", 1));
   auto teams = former.FormTopK(task, topk, &rng);
+  std::printf("eval path: %s\n",
+              params.eval_path == GreedyEvalPath::kOracle ? "oracle"
+              : former.oracle_fallbacks() > 0           ? "oracle fallback"
+                                                        : "view");
   if (teams.empty()) {
     std::printf("no compatible team found under %s\n", CompatKindName(kind));
     return 2;
@@ -322,8 +328,9 @@ int CmdServe(const Flags& flags) {
       static_cast<uint32_t>(flags.GetInt("max_seeds", 16));
   options.greedy.skill_policy = SkillPolicy::kLeastCompatible;
   // The global --threads knob parallelizes row production inside each
-  // batch's StreamRows prewarm (0 = hardware concurrency / TFSN_THREADS).
-  options.view_build_threads = threads;
+  // batch's StreamRows prewarm (0 = hardware concurrency / TFSN_THREADS,
+  // resolved here: the view build reads 0 as "no prewarm").
+  options.view_build_threads = ResolveThreads(threads);
 
   // Overload-control knobs. --shed picks how far enforcement goes;
   // --deadline-ms stamps the SLO budget onto every generated request.

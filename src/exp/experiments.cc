@@ -192,7 +192,7 @@ std::vector<Fig2abRow> RunFig2ab(const Dataset& ds,
       std::unique_ptr<TaskCompatView> view;
       if (options.eval_path != GreedyEvalPath::kOracle) {
         view = TaskCompatView::Build(oracle.get(), ds.skills, task,
-                                     options.threads);
+                                     ResolveThreads(options.threads));
       }
       max_ok += view != nullptr
                     ? TaskSkillsCompatibleExact(*view)

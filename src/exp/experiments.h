@@ -109,12 +109,12 @@ struct TeamExperimentOptions {
   /// row cache serves the index build, the MAX bound, and every former, so
   /// results are thread-count independent.
   uint32_t threads = 1;
-  /// Workers for each former's seed loop on the dense-view path
-  /// (GreedyParams::seed_threads; 1 = serial, 0 = auto). Results are
-  /// bit-identical for every setting.
+  /// Workers for each former's seed loop (GreedyParams::seed_threads;
+  /// 1 = serial, 0 = auto). Results are bit-identical for every setting.
   uint32_t seed_threads = 1;
-  /// Evaluation path for the formers (kAuto = dense view when it fits).
-  GreedyEvalPath eval_path = GreedyEvalPath::kAuto;
+  /// Evaluation path for the formers and the MAX bound: kView (the dense
+  /// view; the oracle only when the view cannot be built) or kOracle.
+  GreedyEvalPath eval_path = GreedyEvalPath::kView;
   /// Byte budget of the shared row cache.
   size_t cache_bytes = 256ull << 20;
   OracleParams oracle;

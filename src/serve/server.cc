@@ -193,9 +193,9 @@ void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
     }
   }
   if (!served) {
-    // Cache-only could not answer. Fund the exact oracle path if the
-    // remaining budget still covers a standalone formation; otherwise no
-    // tier can meet the deadline.
+    // Cache-only could not answer. Fund an exact standalone Form if the
+    // remaining budget still covers one; otherwise no tier can meet the
+    // deadline.
     const auto now = std::chrono::steady_clock::now();
     if (sr->deadline > now &&
         MicrosBetween(now, sr->deadline) >=

@@ -33,8 +33,8 @@
 // by service time). A member whose remaining budget cannot fund the full
 // view build degrades instead of missing its deadline:
 //
-//   full dense view  →  cache-only view  →  oracle path  →  reject
-//        (exact)       (degraded unless      (exact)      (DeadlineExceeded)
+//   full dense view  →  cache-only view  →  standalone Form  →  reject
+//        (exact)       (degraded unless        (exact)       (DeadlineExceeded)
 //                       every row cached)
 //
 // Degraded responses carry TeamResponse::degraded = true and are the only
@@ -94,7 +94,8 @@ struct ServerOptions {
   /// is forced to 1 — the worker pool is the parallelism; nested seed
   /// threads would oversubscribe (results are identical either way).
   GreedyParams greedy;
-  /// Workers for the per-batch StreamRows prewarm inside the view build.
+  /// Workers for the per-batch StreamRows prewarm inside the view build
+  /// (0 = no prewarm: rows load on first touch).
   uint32_t view_build_threads = 1;
 };
 
@@ -196,7 +197,7 @@ class TeamFormationServer {
 
   void WorkerLoop(Worker* worker);
   /// Serves one deadline-pressed request through the degradation ladder
-  /// (cache-only view → oracle path → DeadlineExceeded).
+  /// (cache-only view → standalone Form → DeadlineExceeded).
   void ServeDegraded(Worker* worker, ScheduledRequest* sr,
                      uint32_t batch_size);
   /// Records a served response into the worker's metrics and the shared

@@ -53,8 +53,8 @@ enum class ShedMode : uint8_t {
 /// Deadline/overload policy of a server (ServerOptions::deadline).
 struct DeadlinePolicy {
   ShedMode shed = ShedMode::kQueue;
-  /// Allow the cache-only / oracle degradation ladder under kQueue; off
-  /// means a request either gets the full path or is shed.
+  /// Allow the cache-only / standalone-Form degradation ladder under
+  /// kQueue; off means a request either gets the full path or is shed.
   bool degrade = true;
   /// Test overrides for the live estimators (0 = use the measured
   /// values): assumed queue wait, shared-view build cost, and per-request
@@ -96,7 +96,7 @@ struct TeamResponse {
   /// True when the team came from a degraded tier (incomplete cache-only
   /// view): valid — every member pair was confirmed compatible — but not
   /// necessarily the team the exact path would have formed. Exact
-  /// responses (full view, oracle path, or a *complete* cache-only view)
+  /// responses (full view, standalone Form, or a *complete* cache-only view)
   /// never set this.
   bool degraded = false;
   /// Requests that shared this request's batch (1 = served alone).

@@ -296,23 +296,6 @@ uint32_t GreedyTeamFormer::SelectUserView(
   return kNoLocalId;
 }
 
-bool GreedyTeamFormer::ViewWorthBuilding(const Task& task, size_t num_seeds,
-                                         size_t universe_size) const {
-  // The view costs ~m row-cache probes to prewarm (m = holder-universe
-  // size) plus lazy per-row gathers; the oracle seed loop costs up to
-  // seeds × Σ_s |holders(s)| row lookups, each a shard-mutex hash probe
-  // plus a full-row dereference — but failing seeds stop early, so the
-  // upper bound overshoots small instances badly. Requiring the estimated
-  // loop work to reach the quadratic regime (a constant fraction of m^2)
-  // empirically separates "trivial task, oracle wins" from "dense task,
-  // view wins"; either choice returns bit-identical results.
-  uint64_t sum_holders = 0;
-  for (SkillId s : task.skills()) sum_holders += skills_.Frequency(s);
-  const uint64_t m = universe_size;
-  const uint64_t est_lookups = static_cast<uint64_t>(num_seeds) * sum_holders;
-  return est_lookups * 4 >= m * m;
-}
-
 TeamResult GreedyTeamFormer::CompleteSeedOracle(const Task& task, NodeId seed,
                                                 Rng* rng) {
   TeamResult candidate;
@@ -390,45 +373,27 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
   std::vector<NodeId> seeds =
       GreedySeedSet(skills_, first, params_.max_seeds, rng);
 
-  // The task's holder universe — every candidate the seed loop can touch
-  // holds one of the task's skills. Computed once and shared by the
-  // build-worthiness estimate, the view build, and the oracle-path cache
-  // prewarm. A caller-supplied view already paid for all of that (over a
-  // possibly larger universe), so the block is skipped entirely.
+  // Dense path: materialize the task-local view once (with prefetch on,
+  // its row fetch doubles as the cache prewarm). The oracle loop runs only
+  // when pinned (kOracle) or when the view cannot be built (byte budget,
+  // node-count gate); either way the results are bit-identical. A
+  // caller-supplied view already paid for all of that.
   std::unique_ptr<TaskCompatView> owned_view;
   const TaskCompatView* view = shared_view;
-  if (view == nullptr) {
-    std::vector<NodeId> universe;
-    const bool need_universe = params_.eval_path != GreedyEvalPath::kOracle ||
-                               params_.prefetch_threads > 0;
-    if (need_universe) {
-      universe = HolderUniverse(skills_, task.skills());
-    }
-
-    // Dense fast path: materialize the task-local view once (its row fetch
-    // doubles as the cache prewarm). Falls back to the oracle when disabled,
-    // over budget, not worth building, or the graph is too large for uint16
-    // distances. The path choice never changes the results — only how they
-    // are computed — so kAuto is free to pick either.
-    if (params_.eval_path == GreedyEvalPath::kView ||
-        (params_.eval_path == GreedyEvalPath::kAuto &&
-         ViewWorthBuilding(task, seeds.size(), universe.size()))) {
-      const uint32_t build_threads =
-          params_.prefetch_threads == 0 ? 1 : params_.prefetch_threads;
-      // Keep our universe copy alive: a build that falls back (budget /
-      // node-count gate) still wants the prewarm below.
-      owned_view = TaskCompatView::BuildFromUniverse(
-          oracle_, skills_, task, std::vector<NodeId>(universe), build_threads,
-          params_.view_max_bytes);
-      view = owned_view.get();
-    }
-    if (view == nullptr && params_.prefetch_threads > 0) {
-      // Oracle path: warm the row cache for the whole universe so the
-      // misses are computed by parallel workers instead of serially on
-      // first use.
-      oracle_->StreamRows(universe, params_.prefetch_threads,
-                          [](size_t, const CompatibilityOracle::Row&) {});
-    }
+  if (view == nullptr && params_.eval_path == GreedyEvalPath::kView) {
+    owned_view = TaskCompatView::Build(oracle_, skills_, task,
+                                       params_.prefetch_threads,
+                                       params_.view_max_bytes);
+    view = owned_view.get();
+    if (view == nullptr) ++oracle_fallbacks_;
+  }
+  if (view == nullptr && params_.prefetch_threads > 0) {
+    // Oracle loop: warm the row cache for the task's holder universe so
+    // the misses are computed by parallel workers instead of serially on
+    // first use.
+    oracle_->StreamRows(HolderUniverse(skills_, task.skills()),
+                        params_.prefetch_threads,
+                        [](size_t, const CompatibilityOracle::Row&) {});
   }
 
   // Only the RANDOM user policy consumes randomness inside the loop. Fork

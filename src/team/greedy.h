@@ -79,16 +79,19 @@ std::vector<NodeId> GreedySeedSet(const SkillAssignment& skills,
 /// with bit-identical arithmetic.
 void ThinPoolEvenly(std::vector<NodeId>* pool, uint32_t cap);
 
-/// How Form/FormTopK evaluate compatibility inside the seed loop.
+/// How Form/FormTopK evaluate compatibility inside the seed loop. Both
+/// paths return bit-identical results.
 enum class GreedyEvalPath : uint8_t {
-  /// Build the task-local dense view (task_view.h) when it fits the byte
-  /// budget and all distances pack into uint16; oracle otherwise.
-  kAuto,
-  /// Prefer the view; still falls back to the oracle when the view cannot
-  /// be represented (budget or distance overflow).
+  /// The task-local dense view (task_view.h). Falls back to the oracle loop
+  /// only when the view cannot be built: over `view_max_bytes`, a graph of
+  /// 2^15 nodes or more, or an injected build failure
+  /// (GreedyTeamFormer::oracle_fallbacks() counts these).
   kView,
-  /// Consume the oracle pair-by-pair (the pre-view reference path).
+  /// Consume the oracle pair-by-pair: the reference path the view is
+  /// tested against.
   kOracle,
+  /// Former name of kView, kept for existing callers.
+  kAuto = kView,
 };
 
 /// Tuning for the greedy former.
@@ -105,21 +108,21 @@ struct GreedyParams {
   /// every holder of the task's skills (the row working set of the greedy
   /// search) with this many workers via CompatibilityOracle::GetRows —
   /// warming the shared row cache in parallel instead of computing rows
-  /// one by one inside the seed loop. 0 disables prefetching; results are
-  /// identical either way. On the view path the same worker count fetches
-  /// the rows the view is materialized from (0 = one worker — the rows are
-  /// needed regardless).
+  /// one by one inside the seed loop. On the view path this is the view
+  /// build's prewarm. 0 disables prefetching on both paths: rows then load
+  /// on first use, so a cold cache computes only the rows the seed loop
+  /// reads. Results are identical either way.
   uint32_t prefetch_threads = 0;
-  /// Workers for the seed loop on the view path (each seed's greedy
-  /// completion is independent and the view is immutable). 1 = serial,
-  /// 0 = hardware concurrency / TFSN_THREADS. Results are bit-identical
-  /// for every setting: per-seed outcomes land in per-seed slots merged in
-  /// seed order, and the RANDOM policy draws from per-seed forked streams.
-  /// The oracle fallback path always runs serially (one oracle instance is
-  /// not thread-safe).
+  /// Workers for the seed loop (each seed's greedy completion is
+  /// independent and the view is immutable). 1 = serial, 0 = hardware
+  /// concurrency / TFSN_THREADS. Results are bit-identical for every
+  /// setting: per-seed outcomes land in per-seed slots merged in seed
+  /// order, and the RANDOM policy draws from per-seed forked streams. The
+  /// oracle loop (kOracle or the fallback) always runs serially (one
+  /// oracle instance is not thread-safe).
   uint32_t seed_threads = 1;
-  /// Evaluation path selection (see GreedyEvalPath).
-  GreedyEvalPath eval_path = GreedyEvalPath::kAuto;
+  /// Evaluation path (see GreedyEvalPath).
+  GreedyEvalPath eval_path = GreedyEvalPath::kView;
   /// Byte budget for the task-local dense view: ~1 bit (2 for SBPH) plus
   /// 2 bytes per candidate pair. Oversized tasks fall back to the oracle.
   size_t view_max_bytes = TaskCompatView::kDefaultMaxBytes;
@@ -181,6 +184,10 @@ class GreedyTeamFormer {
 
   const GreedyParams& params() const { return params_; }
 
+  /// Form/FormTopK calls on the kView path that ran the oracle loop
+  /// because the view build returned nullptr (see GreedyEvalPath::kView).
+  uint64_t oracle_fallbacks() const { return oracle_fallbacks_; }
+
  private:
   /// Per-seed scratch buffers for the view path, reused across greedy
   /// steps of one seed (each worker owns its own instance).
@@ -218,12 +225,6 @@ class GreedyTeamFormer {
                           const std::vector<SkillId>& uncovered_after,
                           Rng* rng, ViewScratch* scratch) const;
 
-  /// kAuto cost model: true when the estimated oracle-path seed-loop work
-  /// amortizes the dense-view build for this task (`universe_size` = the
-  /// already-computed holder-universe size m).
-  bool ViewWorthBuilding(const Task& task, size_t num_seeds,
-                         size_t universe_size) const;
-
   /// Greedy completion of one seed against the oracle (serial reference
   /// path). Returns the evaluated candidate team or found == false.
   TeamResult CompleteSeedOracle(const Task& task, NodeId seed, Rng* rng);
@@ -237,6 +238,7 @@ class GreedyTeamFormer {
   const SkillAssignment& skills_;
   const SkillCompatibilityIndex* index_;
   GreedyParams params_;
+  uint64_t oracle_fallbacks_ = 0;
 };
 
 /// MAX bound of Figure 2(a): true iff every pair of task skills is

@@ -69,73 +69,91 @@ size_t TaskCompatView::bytes() const {
          holder_counts_.capacity() * sizeof(uint32_t);
 }
 
+void TaskCompatView::FillDirRow(uint32_t local,
+                                const CompatibilityOracle::Row* row) const {
+  uint64_t* bits = dir_bits_.get() + static_cast<size_t>(local) * words_;
+  if (row == nullptr) {
+    std::fill(bits, bits + words_, uint64_t{0});
+  } else {
+    const uint8_t* comp_src = row->comp.data();
+    const NodeId* uni = universe_.data();
+    const size_t m = m_;
+    for (size_t w = 0; w < words_; ++w) {
+      const size_t j_end = std::min(m, (w + 1) * 64);
+      uint64_t word = 0;
+      for (size_t j = w * 64; j < j_end; ++j) {
+        word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
+      }
+      bits[w] = word;
+    }
+  }
+  dir_ready_[local].store(1, std::memory_order_release);
+}
+
+void TaskCompatView::FillDistRow(uint32_t local,
+                                 const CompatibilityOracle::Row* row) const {
+  uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
+  if (row == nullptr) {
+    std::fill(dist, dist + m_, kDenseUnreachable);
+  } else {
+    const uint32_t* dist_src = row->dist.data();
+    const NodeId* uni = universe_.data();
+    for (size_t j = 0; j < m_; ++j) {
+      // kUnreachable saturates to the sentinel; finite distances fit by the
+      // Allocate() node-count gate.
+      dist[j] = static_cast<uint16_t>(
+          std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
+    }
+  }
+  dist_ready_[local].store(1, std::memory_order_release);
+}
+
 void TaskCompatView::MaterializeDirRow(uint32_t local) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
   if (dir_ready_[local].load(std::memory_order_relaxed)) return;
-  // Almost always a cache hit: Build() batch-prewarmed the universe. An
-  // evicted row is recomputed by the kernel — pricier, but the values are
-  // identical.
-  std::shared_ptr<const CompatibilityOracle::Row> row =
-      oracle_->GetRowShared(universe_[local]);
-  uint64_t* bits = dir_bits_.get() + static_cast<size_t>(local) * words_;
-  const uint8_t* comp_src = row->comp.data();
-  const NodeId* uni = universe_.data();
-  const size_t m = m_;
-  for (size_t w = 0; w < words_; ++w) {
-    const size_t j_end = std::min(m, (w + 1) * 64);
-    uint64_t word = 0;
-    for (size_t j = w * 64; j < j_end; ++j) {
-      word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
-    }
-    bits[w] = word;
-  }
-  dir_ready_[local].store(1, std::memory_order_release);
+  // A cache hit when the build prewarmed the universe; otherwise (no
+  // prewarm, or an eviction since) the kernel computes the row here —
+  // pricier, but the values are identical.
+  FillDirRow(local, oracle_->GetRowShared(universe_[local]).get());
 }
 
 void TaskCompatView::MaterializeDistRow(uint32_t local) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
   if (dist_ready_[local].load(std::memory_order_relaxed)) return;
-  std::shared_ptr<const CompatibilityOracle::Row> row =
-      oracle_->GetRowShared(universe_[local]);
-  uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
-  const uint32_t* dist_src = row->dist.data();
-  const NodeId* uni = universe_.data();
-  for (size_t j = 0; j < m_; ++j) {
-    // kUnreachable saturates to the sentinel; finite distances fit by the
-    // Build() node-count gate.
-    dist[j] = static_cast<uint16_t>(
-        std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
+  FillDistRow(local, oracle_->GetRowShared(universe_[local]).get());
+}
+
+void TaskCompatView::BuildPairClosure() {
+  const size_t m = m_;
+  const size_t words = words_;
+  const uint64_t* dir = dir_bits_.get();
+  pair_bits_.assign(dir, dir + m * words);
+  for (size_t i = 0; i < m; ++i) {
+    const uint64_t* row_i = dir + i * words;
+    for (size_t j = i + 1; j < m; ++j) {
+      if ((row_i[j >> 6] >> (j & 63)) & 1u) {
+        pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
+      }
+      if ((dir[j * words + (i >> 6)] >> (i & 63)) & 1u) {
+        pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
+      }
+    }
   }
-  dist_ready_[local].store(1, std::memory_order_release);
 }
 
-std::unique_ptr<TaskCompatView> TaskCompatView::Build(
+std::unique_ptr<TaskCompatView> TaskCompatView::Allocate(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
-    const Task& task, uint32_t threads, size_t max_bytes) {
-  return BuildFromUniverse(oracle, skills, task,
-                           HolderUniverse(skills, task.skills()), threads,
-                           max_bytes);
-}
-
-std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
-    CompatibilityOracle* oracle, const SkillAssignment& skills,
-    const Task& task, std::vector<NodeId> universe, uint32_t threads,
-    size_t max_bytes) {
+    const Task& task, std::vector<NodeId> universe, size_t max_bytes) {
   TFSN_CHECK(oracle != nullptr);
   // Finite relation distances are path lengths over at most (node, side)
   // states, hence < 2 * num_nodes; this gate guarantees they all fit
   // under the uint16 sentinel so no per-cell overflow checks are needed.
   if (oracle->graph().num_nodes() >= kDenseUnreachable / 2) return nullptr;
   auto task_skills = task.skills();
-
   const size_t m = universe.size();
   const size_t words = (m + 63) / 64;
   const bool sbph = oracle->kind() == CompatKind::kSBPH;
   if (EstimateBytes(m, task_skills.size(), sbph) > max_bytes) return nullptr;
-
-  // Injected allocation/build failure: callers already treat nullptr as
-  // "use the oracle directly", which is bit-identical.
-  if (TFSN_FAULT_POINT("task_view.build_fail")) return nullptr;
 
   std::unique_ptr<TaskCompatView> view(new TaskCompatView());
   view->oracle_ = oracle;
@@ -145,59 +163,12 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
   view->words_ = words;
   view->universe_ = std::move(universe);
   // Dense rows are deliberately left uninitialized (no m^2 zeroing): each
-  // row is gathered on first touch, gated by its ready flag.
+  // row is written by FillDirRow/FillDistRow, gated by its ready flag
+  // (value-initialized to 0).
   view->dir_bits_.reset(new uint64_t[m * words]);
   view->dist_.reset(new uint16_t[m * m]);
-  view->dir_ready_.reset(new std::atomic<uint8_t>[m]);
-  view->dist_ready_.reset(new std::atomic<uint8_t>[m]);
-  for (size_t i = 0; i < m; ++i) {
-    view->dir_ready_[i].store(sbph ? 1 : 0, std::memory_order_relaxed);
-    view->dist_ready_[i].store(0, std::memory_order_relaxed);
-  }
-
-  if (!sbph) {
-    // Batched cache prewarm: each chunk's misses are computed in parallel
-    // — 64-way bit-parallel where the relation allows — and published to
-    // the shared row cache, then the chunk's pins are dropped before the
-    // next so peak memory stays at one batch of full-length rows. The
-    // dense rows themselves materialize lazily from these cached rows.
-    oracle->StreamRows(view->universe_, threads,
-                       [](size_t, const CompatibilityOracle::Row&) {});
-  } else {
-    // SBPH pair semantics are the symmetric closure of the direction-
-    // dependent heuristic rows (see CompatibilityOracle::Compatible),
-    // which needs the transpose — so fill every dir row eagerly and
-    // materialize dir | dir^T once, keeping the seed loop's AND-folds
-    // plain word operations.
-    const NodeId* uni = view->universe_.data();
-    oracle->StreamRows(
-        view->universe_, threads,
-        [&](size_t i, const CompatibilityOracle::Row& row) {
-          uint64_t* bits = view->dir_bits_.get() + i * words;
-          const uint8_t* comp_src = row.comp.data();
-          for (size_t w = 0; w < words; ++w) {
-            const size_t j_end = std::min(m, (w + 1) * 64);
-            uint64_t word = 0;
-            for (size_t j = w * 64; j < j_end; ++j) {
-              word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
-            }
-            bits[w] = word;
-          }
-        });
-    view->pair_bits_.assign(view->dir_bits_.get(),
-                            view->dir_bits_.get() + m * words);
-    for (size_t i = 0; i < m; ++i) {
-      const uint64_t* row_i = view->dir_bits_.get() + i * words;
-      for (size_t j = i + 1; j < m; ++j) {
-        if ((row_i[j >> 6] >> (j & 63)) & 1u) {
-          view->pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
-        }
-        if ((view->dir_bits_[j * words + (i >> 6)] >> (i & 63)) & 1u) {
-          view->pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
-        }
-      }
-    }
-  }
+  view->dir_ready_.reset(new std::atomic<uint8_t>[m]());
+  view->dist_ready_.reset(new std::atomic<uint8_t>[m]());
 
   view->holder_bits_.assign(task_skills.size() * words, 0);
   view->holder_counts_.assign(task_skills.size(), 0);
@@ -214,101 +185,73 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
   return view;
 }
 
+std::unique_ptr<TaskCompatView> TaskCompatView::Build(
+    CompatibilityOracle* oracle, const SkillAssignment& skills,
+    const Task& task, uint32_t threads, size_t max_bytes) {
+  return BuildFromUniverse(oracle, skills, task,
+                           HolderUniverse(skills, task.skills()), threads,
+                           max_bytes);
+}
+
+std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
+    CompatibilityOracle* oracle, const SkillAssignment& skills,
+    const Task& task, std::vector<NodeId> universe, uint32_t threads,
+    size_t max_bytes) {
+  auto view = Allocate(oracle, skills, task, std::move(universe), max_bytes);
+  if (view == nullptr) return nullptr;
+  // Injected build failure: callers already treat nullptr as "use the
+  // oracle directly", which is bit-identical.
+  if (TFSN_FAULT_POINT("task_view.build_fail")) return nullptr;
+
+  if (view->kind_ == CompatKind::kSBPH) {
+    // SBPH pair semantics are the symmetric closure of the direction-
+    // dependent heuristic rows (see CompatibilityOracle::Compatible),
+    // which needs the transpose — so fill every dir row eagerly (on one
+    // worker when prewarm is off) and materialize dir | dir^T once,
+    // keeping the seed loop's AND-folds plain word operations.
+    oracle->StreamRows(view->universe_, std::max<uint32_t>(threads, 1),
+                       [&](size_t i, const CompatibilityOracle::Row& row) {
+                         view->FillDirRow(static_cast<uint32_t>(i), &row);
+                       });
+    view->BuildPairClosure();
+  } else if (threads > 0) {
+    // Batched cache prewarm: each chunk's misses are computed in parallel
+    // — 64-way bit-parallel where the relation allows — and published to
+    // the shared row cache, then the chunk's pins are dropped before the
+    // next so peak memory stays at one batch of full-length rows. The
+    // dense rows themselves materialize lazily from these cached rows.
+    oracle->StreamRows(view->universe_, threads,
+                       [](size_t, const CompatibilityOracle::Row&) {});
+  }
+  return view;
+}
+
 std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromCachedRows(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
     const Task& task, std::vector<NodeId> universe, size_t max_bytes,
     bool* complete) {
-  TFSN_CHECK(oracle != nullptr);
   TFSN_CHECK(complete != nullptr);
   *complete = false;
-  if (oracle->graph().num_nodes() >= kDenseUnreachable / 2) return nullptr;
-  auto task_skills = task.skills();
-
-  const size_t m = universe.size();
-  const size_t words = (m + 63) / 64;
-  const bool sbph = oracle->kind() == CompatKind::kSBPH;
-  if (EstimateBytes(m, task_skills.size(), sbph) > max_bytes) return nullptr;
-
-  std::unique_ptr<TaskCompatView> view(new TaskCompatView());
-  view->oracle_ = oracle;
-  view->task_ = task;
-  view->kind_ = oracle->kind();
-  view->m_ = static_cast<uint32_t>(m);
-  view->words_ = words;
-  view->universe_ = std::move(universe);
-  view->dir_bits_.reset(new uint64_t[m * words]);
-  view->dist_.reset(new uint16_t[m * m]);
-  view->dir_ready_.reset(new std::atomic<uint8_t>[m]);
-  view->dist_ready_.reset(new std::atomic<uint8_t>[m]);
+  auto view = Allocate(oracle, skills, task, std::move(universe), max_bytes);
+  if (view == nullptr) return nullptr;
 
   // Every row fills eagerly — from its cached oracle row when resident,
-  // pessimistically otherwise — and both ready sets are fully published,
-  // so the lazy materializers (and hence the oracle's compute path) are
-  // never reached through this view.
-  const NodeId* uni = view->universe_.data();
+  // pessimistically otherwise (an unknown candidate admits nobody and
+  // reaches nobody, so teams formed against the view only ever rely on
+  // pairs a real row confirmed: sound, possibly suboptimal) — and both
+  // ready sets are fully published, so the lazy materializers (and hence
+  // the oracle's compute path) are never reached through this view.
   bool all_cached = true;
-  for (size_t i = 0; i < m; ++i) {
-    uint64_t* bits = view->dir_bits_.get() + i * words;
-    uint16_t* dist = view->dist_.get() + i * m;
+  for (uint32_t i = 0; i < view->m_; ++i) {
     std::shared_ptr<const CompatibilityOracle::Row> row =
-        oracle->PeekRow(uni[i]);
-    if (row != nullptr) {
-      const uint8_t* comp_src = row->comp.data();
-      const uint32_t* dist_src = row->dist.data();
-      for (size_t w = 0; w < words; ++w) {
-        const size_t j_end = std::min(m, (w + 1) * 64);
-        uint64_t word = 0;
-        for (size_t j = w * 64; j < j_end; ++j) {
-          word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
-        }
-        bits[w] = word;
-      }
-      for (size_t j = 0; j < m; ++j) {
-        dist[j] = static_cast<uint16_t>(
-            std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
-      }
-    } else {
-      // Pessimistic fill: an unknown candidate admits nobody and reaches
-      // nobody, so teams formed against the view only ever rely on pairs
-      // a real row confirmed (sound, possibly suboptimal).
-      all_cached = false;
-      std::fill(bits, bits + words, uint64_t{0});
-      std::fill(dist, dist + m, kDenseUnreachable);
-    }
-    view->dir_ready_[i].store(1, std::memory_order_relaxed);
-    view->dist_ready_[i].store(1, std::memory_order_relaxed);
+        oracle->PeekRow(view->universe_[i]);
+    if (row == nullptr) all_cached = false;
+    view->FillDirRow(i, row.get());
+    view->FillDistRow(i, row.get());
   }
-
-  if (sbph) {
-    // Symmetric closure over the known directional bits, exactly as the
-    // eager full build computes it.
-    view->pair_bits_.assign(view->dir_bits_.get(),
-                            view->dir_bits_.get() + m * words);
-    for (size_t i = 0; i < m; ++i) {
-      const uint64_t* row_i = view->dir_bits_.get() + i * words;
-      for (size_t j = i + 1; j < m; ++j) {
-        if ((row_i[j >> 6] >> (j & 63)) & 1u) {
-          view->pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
-        }
-        if ((view->dir_bits_[j * words + (i >> 6)] >> (i & 63)) & 1u) {
-          view->pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
-        }
-      }
-    }
-  }
-
-  view->holder_bits_.assign(task_skills.size() * words, 0);
-  view->holder_counts_.assign(task_skills.size(), 0);
-  for (size_t p = 0; p < task_skills.size(); ++p) {
-    uint64_t* mask = view->holder_bits_.data() + p * words;
-    auto holders = skills.Holders(task_skills[p]);
-    for (NodeId h : holders) {
-      const uint32_t local = view->LocalOf(h);
-      TFSN_CHECK(local != kNoLocalId);
-      mask[local >> 6] |= uint64_t{1} << (local & 63);
-    }
-    view->holder_counts_[p] = static_cast<uint32_t>(holders.size());
-  }
+  // Symmetric closure over the known directional bits, exactly as the
+  // full build computes it.
+  if (view->kind_ == CompatKind::kSBPH) view->BuildPairClosure();
   *complete = all_cached;
   return view;
 }

@@ -12,12 +12,14 @@
 //   * an m×m uint16 distance matrix (kUnreachable -> kDenseUnreachable),
 //   * one m-bit holder mask per task skill.
 //
-// Build() batch-prewarms the row cache (so misses are computed in
-// parallel, 64-way bit-parallel where the relation allows); the dense
-// rows themselves materialize lazily on first touch, because the greedy
+// Build() batch-prewarms the row cache when given worker threads (so
+// misses are computed in parallel, 64-way bit-parallel where the relation
+// allows); with threads == 0 it fetches nothing up front. Either way the
+// dense rows materialize lazily on first touch, because the greedy
 // MinDistance loop only ever folds the rows of *team members* — a small
-// subset of the universe — so most rows are never gathered. (SBPH comp
-// bits are filled eagerly: its pair semantics need the transpose.)
+// subset of the universe — so most rows are never gathered, and a cold
+// cache computes exactly the rows the loop reads. (SBPH comp bits are
+// filled eagerly: its pair semantics need the transpose.)
 //
 // "Compatible with the whole team" then becomes an AND-fold of 64-bit
 // words over team rows, and MinDistance scoring becomes dense uint16
@@ -26,10 +28,10 @@
 // CompatibilityOracle exactly, so every consumer is bit-identical to the
 // oracle path.
 //
-// Build() returns nullptr — and callers fall back to the oracle — when the
-// view would exceed its byte budget or the graph has too many nodes for
-// uint16 distances. Every in-repo relation distance is a path length over
-// (node, side) states, hence < 2·num_nodes; the build requires
+// Build() returns nullptr — and callers fall back to the oracle — only
+// when the view would exceed its byte budget or the graph has too many
+// nodes for uint16 distances. Every in-repo relation distance is a path
+// length over (node, side) states, hence < 2·num_nodes; the build requires
 // num_nodes < 2^15 so finite distances always fit. Custom kernels must
 // respect the same bound (larger finite distances would saturate).
 
@@ -81,13 +83,15 @@ class TaskCompatView {
   static constexpr size_t kDefaultMaxBytes = 512ull << 20;
 
   /// Materializes the view for `task`: the candidate universe is the union
-  /// of holders of the task's skills, rows are fetched in batches through
-  /// CompatibilityOracle::GetRows with `threads` workers (so misses are
-  /// computed in parallel and land in the shared row cache). Returns
-  /// nullptr when the dense matrices would exceed `max_bytes` or the graph
-  /// is too large for uint16 distances (see file comment) — callers then
-  /// use the oracle directly. The oracle must outlive the view (lazy
-  /// distance rows re-fetch cached rows through it); all accessors are
+  /// of holders of the task's skills. With `threads` > 0 the universe's
+  /// rows are first prewarmed in batches through CompatibilityOracle::
+  /// GetRows with that many workers (so misses are computed in parallel
+  /// and land in the shared row cache); with 0 nothing is fetched up front
+  /// and each row loads on first touch (SBPH's eager fill then runs on one
+  /// worker). Returns nullptr when the dense matrices would exceed
+  /// `max_bytes` or the graph is too large for uint16 distances (see file
+  /// comment) — callers then use the oracle directly. The oracle must
+  /// outlive the view (lazy rows fetch through it); all accessors are
   /// safe to share across threads.
   static std::unique_ptr<TaskCompatView> Build(
       CompatibilityOracle* oracle, const SkillAssignment& skills,
@@ -96,8 +100,8 @@ class TaskCompatView {
 
   /// As Build, but takes the already-computed candidate universe (sorted,
   /// deduplicated union of the task's skill holders) so callers that
-  /// needed it anyway — e.g. for the build-worthiness estimate — don't
-  /// pay the concat/sort/dedup twice.
+  /// needed it anyway — e.g. the serving batch scheduler's footprint
+  /// check — don't pay the concat/sort/dedup twice.
   static std::unique_ptr<TaskCompatView> BuildFromUniverse(
       CompatibilityOracle* oracle, const SkillAssignment& skills,
       const Task& task, std::vector<NodeId> universe, uint32_t threads = 1,
@@ -211,14 +215,30 @@ class TaskCompatView {
  private:
   TaskCompatView() = default;
 
-  /// Gather the dense comp-bit / distance row of `local` from the
-  /// (cached) oracle row. Idempotent; serialized per striped lock
-  /// (row_locks_[local % kLockStripes]) so concurrent seed workers never
-  /// observe a half-written row. The stripe association is data-dependent,
-  /// so it is outside what TFSN_GUARDED_BY can express — the protocol is
-  /// documented on the members below instead.
+  /// Node-count gate, byte budget, allocation and holder masks shared by
+  /// every builder; nullptr when a gate trips. Dense rows start unready.
+  static std::unique_ptr<TaskCompatView> Allocate(
+      CompatibilityOracle* oracle, const SkillAssignment& skills,
+      const Task& task, std::vector<NodeId> universe, size_t max_bytes);
+
+  /// Gather the dense comp-bit / distance row of `local` from `row` (or,
+  /// for nullptr, the pessimistic fill: no comp bits, all distances
+  /// unreachable), then publish its ready flag. The one fill path of
+  /// every builder and of the lazy materializers.
+  void FillDirRow(uint32_t local, const CompatibilityOracle::Row* row) const;
+  void FillDistRow(uint32_t local, const CompatibilityOracle::Row* row) const;
+
+  /// Lazy first touch: fetch the oracle row of `local` and fill. Idempotent;
+  /// serialized per striped lock (row_locks_[local % kLockStripes]) so
+  /// concurrent seed workers never observe a half-written row. The stripe
+  /// association is data-dependent, so it is outside what TFSN_GUARDED_BY
+  /// can express — the protocol is documented on the members below
+  /// instead.
   void MaterializeDirRow(uint32_t local) const;
   void MaterializeDistRow(uint32_t local) const;
+
+  /// SBPH: pair_bits_ = dir | dir^T over fully filled dir rows.
+  void BuildPairClosure();
 
   static constexpr size_t kLockStripes = 16;
 
@@ -235,10 +255,11 @@ class TaskCompatView {
   ///
   /// Lock-free ordering contract (striped, so not TFSN-annotatable): row i
   /// of dir_bits_ / dist_ is written only by the thread holding
-  /// row_locks_[i % kLockStripes], then published by a release store of
-  /// 1 to the matching ready flag; readers (DirRow/DistRow) do an acquire
-  /// load of the flag and touch the row bytes only after seeing 1, so the
-  /// release/acquire pair makes the fully-written row visible. A reader
+  /// row_locks_[i % kLockStripes] (or by the builder, before the view is
+  /// shared), then published by a release store of 1 to the matching
+  /// ready flag; readers (DirRow/DistRow) do an acquire load of the flag
+  /// and touch the row bytes only after seeing 1, so the release/acquire
+  /// pair makes the fully-written row visible. A reader
   /// that sees 0 falls into Materialize*, where the stripe lock serializes
   /// the double-checked recheck (relaxed load there is safe: the lock's
   /// ordering covers it).

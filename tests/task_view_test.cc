@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/compat/skill_index.h"
 #include "src/compat/threshold.h"
 #include "src/gen/generators.h"
@@ -234,21 +236,36 @@ TEST(GreedyViewEquivalenceTest, FormIdenticalAcrossAllPolicyCombos) {
       for (UserPolicy up :
            {UserPolicy::kMinDistance, UserPolicy::kMostCompatible,
             UserPolicy::kRandom}) {
-        GreedyTeamFormer view_former(
-            oracle.get(), inst.skills, &index, PathParams(sp, up,
-                                                          GreedyEvalPath::kView));
-        GreedyTeamFormer oracle_former(
-            oracle.get(), inst.skills, &index,
-            PathParams(sp, up, GreedyEvalPath::kOracle));
-        Rng task_rng(17);
-        for (int trial = 0; trial < 4; ++trial) {
-          Task task = RandomTask(inst.skills, 4, &task_rng);
-          Rng rng_a(1000 + trial), rng_b(1000 + trial);
-          TeamResult via_view = view_former.Form(task, &rng_a);
-          TeamResult via_oracle = oracle_former.Form(task, &rng_b);
-          ExpectSameResult(via_view, via_oracle,
-                           std::string(CompatKindName(kind)) + "/" +
-                               SkillPolicyName(sp) + "/" + UserPolicyName(up));
+        for (uint32_t prefetch : {0u, 4u}) {
+          for (uint32_t seed_threads : {1u, 4u}) {
+            // The default path (the dense view) against the oracle loop.
+            GreedyParams view_params;
+            view_params.skill_policy = sp;
+            view_params.user_policy = up;
+            view_params.prefetch_threads = prefetch;
+            view_params.seed_threads = seed_threads;
+            GreedyParams oracle_params = view_params;
+            oracle_params.eval_path = GreedyEvalPath::kOracle;
+            GreedyTeamFormer view_former(oracle.get(), inst.skills, &index,
+                                         view_params);
+            GreedyTeamFormer oracle_former(oracle.get(), inst.skills, &index,
+                                           oracle_params);
+            const std::string what =
+                std::string(CompatKindName(kind)) + "/" +
+                SkillPolicyName(sp) + "/" + UserPolicyName(up) +
+                "/prefetch=" + std::to_string(prefetch) +
+                "/seed_threads=" + std::to_string(seed_threads);
+            Rng task_rng(17);
+            for (int trial = 0; trial < 4; ++trial) {
+              Task task = RandomTask(inst.skills, 4, &task_rng);
+              Rng rng_a(1000 + trial), rng_b(1000 + trial);
+              ExpectSameResult(view_former.Form(task, &rng_a),
+                               oracle_former.Form(task, &rng_b), what);
+              // Both paths consumed the same rng stream.
+              EXPECT_EQ(rng_a.Next(), rng_b.Next()) << what;
+            }
+            EXPECT_EQ(view_former.oracle_fallbacks(), 0u) << what;
+          }
         }
       }
     }
@@ -342,15 +359,15 @@ TEST(GreedyViewEquivalenceTest, FormTopKIdentical) {
   }
 }
 
-TEST(GreedyViewEquivalenceTest, AutoFallsBackUnderBudgetAndStaysIdentical) {
+TEST(GreedyViewEquivalenceTest, ViewFallsBackUnderBudgetAndStaysIdentical) {
   Instance inst = MakeInstance(40, 100, 0.2, 8, 131);
   auto oracle = MakeOracle(inst.graph, CompatKind::kNNE);
   Rng index_rng(6);
   SkillCompatibilityIndex index(oracle.get(), inst.skills, 0, &index_rng);
-  GreedyParams auto_params = PathParams(
-      SkillPolicy::kRarest, UserPolicy::kMinDistance, GreedyEvalPath::kAuto);
-  auto_params.view_max_bytes = 16;  // nothing fits: forces the oracle path
-  GreedyTeamFormer capped(oracle.get(), inst.skills, &index, auto_params);
+  GreedyParams view_params = PathParams(
+      SkillPolicy::kRarest, UserPolicy::kMinDistance, GreedyEvalPath::kView);
+  view_params.view_max_bytes = 16;  // nothing fits: forces the oracle path
+  GreedyTeamFormer capped(oracle.get(), inst.skills, &index, view_params);
   GreedyTeamFormer reference(
       oracle.get(), inst.skills, &index,
       PathParams(SkillPolicy::kRarest, UserPolicy::kMinDistance,
@@ -360,8 +377,54 @@ TEST(GreedyViewEquivalenceTest, AutoFallsBackUnderBudgetAndStaysIdentical) {
     Task task = RandomTask(inst.skills, 4, &task_rng);
     Rng rng_a(4000 + trial), rng_b(4000 + trial);
     ExpectSameResult(capped.Form(task, &rng_a), reference.Form(task, &rng_b),
-                     "auto-fallback");
+                     "view-fallback");
+    EXPECT_EQ(capped.oracle_fallbacks(), static_cast<uint64_t>(trial) + 1);
   }
+  Rng rng(4100);
+  capped.FormTopK(RandomTask(inst.skills, 4, &task_rng), 3, &rng);
+  EXPECT_EQ(capped.oracle_fallbacks(), 5u);
+  // A pinned oracle path is not a fallback.
+  EXPECT_EQ(reference.oracle_fallbacks(), 0u);
+}
+
+TEST(GreedyViewEquivalenceTest, ColdCacheViewComputesOracleRows) {
+  // With prefetch off the view path must read rows on first touch only:
+  // on a fresh private cache, Form computes exactly the rows the oracle
+  // loop computes — not the whole holder universe up front.
+  Instance inst = MakeInstance(300, 900, 0.2, 6, 171);
+  auto index_oracle = MakeOracle(inst.graph, CompatKind::kSPM);
+  Rng index_rng(10);
+  SkillCompatibilityIndex index(index_oracle.get(), inst.skills, 0,
+                                &index_rng);
+  auto view_oracle = MakeOracle(inst.graph, CompatKind::kSPM);
+  auto ref_oracle = MakeOracle(inst.graph, CompatKind::kSPM);
+  GreedyParams params;  // the default evaluation path
+  params.skill_policy = SkillPolicy::kLeastCompatible;
+  params.user_policy = UserPolicy::kMinDistance;
+  params.prefetch_threads = 0;
+  GreedyParams ref_params = params;
+  ref_params.eval_path = GreedyEvalPath::kOracle;
+  GreedyTeamFormer former(view_oracle.get(), inst.skills, &index, params);
+  GreedyTeamFormer reference(ref_oracle.get(), inst.skills, &index,
+                             ref_params);
+  Rng task_rng(43);
+  std::vector<NodeId> universes;
+  for (int trial = 0; trial < 6; ++trial) {
+    Task task = RandomTask(inst.skills, 3, &task_rng);
+    auto universe = HolderUniverse(inst.skills, task.skills());
+    universes.insert(universes.end(), universe.begin(), universe.end());
+    Rng rng_a(7000 + trial), rng_b(7000 + trial);
+    ExpectSameResult(former.Form(task, &rng_a), reference.Form(task, &rng_b),
+                     "cold");
+    EXPECT_EQ(view_oracle->rows_computed(), ref_oracle->rows_computed())
+        << "trial " << trial;
+  }
+  EXPECT_EQ(former.oracle_fallbacks(), 0u);
+  // The guard has teeth: an eager universe fetch would compute more.
+  std::sort(universes.begin(), universes.end());
+  universes.erase(std::unique(universes.begin(), universes.end()),
+                  universes.end());
+  EXPECT_LT(ref_oracle->rows_computed(), universes.size());
 }
 
 // ---------------------------------------------------------------------------
