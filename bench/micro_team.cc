@@ -9,14 +9,19 @@
 //     the task-local dense view (task_view.h) against the pair-by-pair
 //     oracle path, asserting bit-identical results while timing, then
 //     sweeps seed_threads on the view path (again asserting identical
-//     teams). One JSON object per measurement lands in the BENCH_*.json
-//     trajectory file (format: README, "Bench JSON output"). --quick trims
+//     teams). The same comparison then runs on a generated graph of
+//     40,000 nodes. Every view pass aborts if its former fell back to the
+//     oracle loop. One JSON object per measurement, with the host's nproc,
+//     compiler and build type, lands in the BENCH_*.json trajectory file
+//     (format: README, "Bench JSON output"). --quick trims
 //     the sweep for CI smoke runs and skips the Google-Benchmark suite.
 //
 //  2. The Google-Benchmark suite (when the library is available): the
 //     greedy former per policy, the exact solver on small instances, the
 //     unsigned RarestFirst baseline, and the skill-index build. Run with
 //     --benchmark_filter=... to narrow.
+
+#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -48,10 +53,7 @@ struct Fixture {
   std::unique_ptr<CompatibilityOracle> oracle;
   std::unique_ptr<SkillCompatibilityIndex> index;
 
-  explicit Fixture(double scale, CompatKind kind) {
-    DatasetOptions options;
-    options.scale = scale;
-    ds = MakeEpinions(options);
+  Fixture(Dataset dataset, CompatKind kind) : ds(std::move(dataset)) {
     RowCacheOptions cache_options;
     cache_options.max_bytes = 512ull << 20;
     cache = std::make_shared<RowCache>(cache_options);
@@ -70,10 +72,36 @@ Fixture& SharedFixture(CompatKind kind) {
   static auto* cache = new std::map<CompatKind, std::unique_ptr<Fixture>>();
   auto it = cache->find(kind);
   if (it == cache->end()) {
-    it = cache->emplace(kind, std::make_unique<Fixture>(g_fixture_scale, kind))
+    DatasetOptions options;
+    options.scale = g_fixture_scale;
+    it = cache->emplace(kind,
+                        std::make_unique<Fixture>(MakeEpinions(options), kind))
              .first;
   }
   return *it->second;
+}
+
+// A connected G(n, 4n) graph with Zipf skills and n = 40,000 > 2^15,
+// where finite relation distances no longer fit 16 bits: the row shows
+// that the view serves such graphs without falling back to the oracle
+// loop.
+Dataset LargeGnm() {
+  constexpr uint32_t kNodes = 40000;
+  Rng rng(2026);
+  Dataset ds;
+  ds.name = "gnm";
+  ds.graph = RandomConnectedGnm(kNodes, 4ull * kNodes, 0.2, &rng);
+  ZipfSkillParams sp;
+  sp.num_skills = 2000;
+  ds.skills = ZipfSkills(kNodes, sp, &rng);
+  return ds;
+}
+
+// Host provenance for every JSON row.
+void HardwareFields(bench::JsonArrayWriter* json) {
+  json->Field("nproc", static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  json->Field("compiler", TFSN_BENCH_COMPILER);
+  json->Field("build_type", TFSN_BENCH_BUILD_TYPE);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,10 +159,13 @@ std::vector<Task> DenseTasks(const SkillAssignment& sa, uint32_t k,
 
 // Forms every task with `params` against the shared fixture, recording
 // wall time and results. Each run re-seeds its own Rng so paths and
-// thread counts see identical random streams.
+// thread counts see identical random streams. A view-path pass aborts
+// when its former fell back to the oracle loop: a silent fallback would
+// time the wrong path; the count is stored in `*fallbacks`.
 double RunFormPass(Fixture& fx, const std::vector<Task>& tasks,
                    const GreedyParams& params,
-                   std::vector<TeamResult>* results) {
+                   std::vector<TeamResult>* results,
+                   uint64_t* fallbacks = nullptr) {
   GreedyTeamFormer former(fx.oracle.get(), fx.ds.skills, fx.index.get(),
                           params);
   results->clear();
@@ -144,9 +175,129 @@ double RunFormPass(Fixture& fx, const std::vector<Task>& tasks,
     Rng rng(100 + static_cast<uint64_t>(t));
     results->push_back(former.Form(tasks[t], &rng));
   }
-  return timer.Seconds();
+  const double seconds = timer.Seconds();
+  if (former.oracle_fallbacks() != 0) {
+    std::fprintf(stderr, "FATAL: %s: %llu view fallbacks to the oracle loop\n",
+                 fx.ds.name.c_str(),
+                 static_cast<unsigned long long>(former.oracle_fallbacks()));
+    std::abort();
+  }
+  if (fallbacks != nullptr) *fallbacks = former.oracle_fallbacks();
+  return seconds;
 }
 
+// View vs oracle on one fixture (plus, when `seed_sweep`, the view path's
+// seed_threads sweep), one JSON row per measurement.
+void CompareOnFixture(Fixture& fx, CompatKind kind, const char* workload,
+                      const std::vector<UserPolicy>& policies,
+                      uint32_t num_tasks, uint32_t task_size,
+                      uint32_t max_seeds, uint32_t top_pool, bool seed_sweep,
+                      bench::JsonArrayWriter* json) {
+  Rng task_rng(11);
+  const std::vector<Task> tasks =
+      DenseTasks(fx.ds.skills, task_size, num_tasks, top_pool, &task_rng);
+  for (UserPolicy up : policies) {
+    // Warm-up pass: pays the row-production cost once so both timed
+    // passes measure query evaluation on a hot shared row cache.
+    std::vector<TeamResult> warm;
+    RunFormPass(fx, tasks, EvalParams(up, GreedyEvalPath::kView, max_seeds, 1),
+                &warm);
+
+    std::vector<TeamResult> via_oracle, via_view;
+    const double oracle_seconds = RunFormPass(
+        fx, tasks, EvalParams(up, GreedyEvalPath::kOracle, max_seeds, 1),
+        &via_oracle);
+    uint64_t fallbacks = 0;
+    const double view_seconds = RunFormPass(
+        fx, tasks, EvalParams(up, GreedyEvalPath::kView, max_seeds, 1),
+        &via_view, &fallbacks);
+
+    uint32_t solved = 0;
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      solved += via_view[t].found;
+      if (!SameResult(via_oracle[t], via_view[t])) {
+        std::fprintf(stderr, "FATAL: view/oracle mismatch on task %zu (%s)\n",
+                     t, UserPolicyName(up));
+        std::abort();
+      }
+    }
+    const double speedup =
+        view_seconds > 0 ? oracle_seconds / view_seconds : 0.0;
+    std::printf("%8s %6u %5s %15s %12.2f %12.2f %8.2fx %6u/%zu\n",
+                fx.ds.name.c_str(), fx.ds.graph.num_nodes(),
+                CompatKindName(kind), UserPolicyName(up),
+                Rate(tasks.size(), oracle_seconds),
+                Rate(tasks.size(), view_seconds), speedup, solved,
+                tasks.size());
+    if (json != nullptr) {
+      json->BeginObject();
+      json->Field("bench", "micro_team");
+      json->Field("experiment", "view_vs_oracle");
+      json->Field("workload", workload);
+      json->Field("n", fx.ds.graph.num_nodes());
+      json->Field("edges", fx.ds.graph.num_edges());
+      json->Field("kind", CompatKindName(kind));
+      json->Field("policy", UserPolicyName(up));
+      json->Field("tasks", static_cast<uint64_t>(tasks.size()));
+      json->Field("task_size", task_size);
+      json->Field("max_seeds", max_seeds);
+      json->Field("threads", 1);
+      json->Field("scalar_seconds", oracle_seconds);
+      json->Field("view_seconds", view_seconds);
+      json->Field("scalar_tasks_per_sec", Rate(tasks.size(), oracle_seconds));
+      json->Field("view_tasks_per_sec", Rate(tasks.size(), view_seconds));
+      json->Field("speedup", speedup);
+      json->Field("identical", true);
+      json->Field("oracle_fallbacks", fallbacks);
+      HardwareFields(json);
+      json->EndObject();
+    }
+    if (!seed_sweep) continue;
+
+    // Seed-loop thread sweep on the view path: results must stay
+    // bit-identical while the wall clock (on multi-core hosts) drops.
+    for (uint32_t seed_threads : {2u, 8u}) {
+      std::vector<TeamResult> threaded;
+      const double seconds = RunFormPass(
+          fx, tasks,
+          EvalParams(up, GreedyEvalPath::kView, max_seeds, seed_threads),
+          &threaded, &fallbacks);
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        if (!SameResult(threaded[t], via_view[t])) {
+          std::fprintf(stderr, "FATAL: seed_threads=%u mismatch on task %zu\n",
+                       seed_threads, t);
+          std::abort();
+        }
+      }
+      std::printf("%8s %6u %5s %15s   seed_threads=%u: %.2f tasks/s\n",
+                  fx.ds.name.c_str(), fx.ds.graph.num_nodes(),
+                  CompatKindName(kind), UserPolicyName(up), seed_threads,
+                  Rate(tasks.size(), seconds));
+      if (json != nullptr) {
+        json->BeginObject();
+        json->Field("bench", "micro_team");
+        json->Field("experiment", "view_seed_threads");
+        json->Field("workload", workload);
+        json->Field("n", fx.ds.graph.num_nodes());
+        json->Field("kind", CompatKindName(kind));
+        json->Field("policy", UserPolicyName(up));
+        json->Field("tasks", static_cast<uint64_t>(tasks.size()));
+        json->Field("task_size", task_size);
+        json->Field("max_seeds", max_seeds);
+        json->Field("seed_threads", seed_threads);
+        json->Field("view_seconds", seconds);
+        json->Field("view_tasks_per_sec", Rate(tasks.size(), seconds));
+        json->Field("identical", true);
+        json->Field("oracle_fallbacks", fallbacks);
+        HardwareFields(json);
+        json->EndObject();
+      }
+    }
+  }
+}
+
+// The headline comparison on the Epinions-scale fixture, then once more
+// on LargeGnm with a capped seed set.
 void RunViewVsOracle(bool quick, uint32_t num_tasks, uint32_t task_size,
                      uint32_t max_seeds, uint32_t top_pool,
                      bench::JsonArrayWriter* json) {
@@ -160,105 +311,22 @@ void RunViewVsOracle(bool quick, uint32_t num_tasks, uint32_t task_size,
 
   std::printf(
       "greedy Form: task-local dense view vs oracle path "
-      "(%u dense-skill tasks of size %u, max_seeds=%u, single thread)\n"
-      "%5s %15s %12s %12s %9s %9s\n",
-      num_tasks, task_size, max_seeds, "kind", "policy", "oracle t/s",
-      "view t/s", "speedup", "solved");
+      "(dense-skill tasks of size %u, single thread)\n"
+      "%8s %6s %5s %15s %12s %12s %9s %9s\n",
+      task_size, "graph", "n", "kind", "policy", "oracle t/s", "view t/s",
+      "speedup", "solved");
   for (CompatKind kind : kinds) {
-    Fixture& fx = SharedFixture(kind);
-    Rng task_rng(11);
-    const std::vector<Task> tasks = DenseTasks(
-        fx.ds.skills, task_size, num_tasks, top_pool, &task_rng);
-    for (UserPolicy up : policies) {
-      // Warm-up pass: pays the row-production cost once so both timed
-      // passes measure query evaluation on a hot shared row cache.
-      std::vector<TeamResult> warm;
-      RunFormPass(fx, tasks, EvalParams(up, GreedyEvalPath::kView, max_seeds, 1),
-                  &warm);
-
-      std::vector<TeamResult> via_oracle, via_view;
-      const double oracle_seconds = RunFormPass(
-          fx, tasks, EvalParams(up, GreedyEvalPath::kOracle, max_seeds, 1),
-          &via_oracle);
-      const double view_seconds = RunFormPass(
-          fx, tasks, EvalParams(up, GreedyEvalPath::kView, max_seeds, 1),
-          &via_view);
-
-      uint32_t solved = 0;
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        solved += via_view[t].found;
-        if (!SameResult(via_oracle[t], via_view[t])) {
-          std::fprintf(stderr,
-                       "FATAL: view/oracle mismatch on task %zu (%s)\n", t,
-                       UserPolicyName(up));
-          std::abort();
-        }
-      }
-      const double speedup =
-          view_seconds > 0 ? oracle_seconds / view_seconds : 0.0;
-      std::printf("%5s %15s %12.2f %12.2f %8.2fx %6u/%u\n",
-                  CompatKindName(kind), UserPolicyName(up),
-                  Rate(tasks.size(), oracle_seconds),
-                  Rate(tasks.size(), view_seconds), speedup, solved,
-                  num_tasks);
-      if (json != nullptr) {
-        json->BeginObject();
-        json->Field("bench", "micro_team");
-        json->Field("experiment", "view_vs_oracle");
-        json->Field("workload", "dense_skills");
-        json->Field("n", fx.ds.graph.num_nodes());
-        json->Field("edges", fx.ds.graph.num_edges());
-        json->Field("kind", CompatKindName(kind));
-        json->Field("policy", UserPolicyName(up));
-        json->Field("tasks", static_cast<uint64_t>(tasks.size()));
-        json->Field("task_size", task_size);
-        json->Field("max_seeds", max_seeds);
-        json->Field("threads", 1);
-        json->Field("scalar_seconds", oracle_seconds);
-        json->Field("view_seconds", view_seconds);
-        json->Field("scalar_tasks_per_sec", Rate(tasks.size(), oracle_seconds));
-        json->Field("view_tasks_per_sec", Rate(tasks.size(), view_seconds));
-        json->Field("speedup", speedup);
-        json->Field("identical", true);
-        json->EndObject();
-      }
-
-      // Seed-loop thread sweep on the view path: results must stay
-      // bit-identical while the wall clock (on multi-core hosts) drops.
-      for (uint32_t seed_threads : {2u, 8u}) {
-        std::vector<TeamResult> threaded;
-        const double seconds = RunFormPass(
-            fx, tasks,
-            EvalParams(up, GreedyEvalPath::kView, max_seeds, seed_threads),
-            &threaded);
-        for (size_t t = 0; t < tasks.size(); ++t) {
-          if (!SameResult(threaded[t], via_view[t])) {
-            std::fprintf(stderr,
-                         "FATAL: seed_threads=%u mismatch on task %zu\n",
-                         seed_threads, t);
-            std::abort();
-          }
-        }
-        std::printf("%5s %15s   seed_threads=%u: %.2f tasks/s\n",
-                    CompatKindName(kind), UserPolicyName(up), seed_threads,
-                    Rate(tasks.size(), seconds));
-        if (json != nullptr) {
-          json->BeginObject();
-          json->Field("bench", "micro_team");
-          json->Field("experiment", "view_seed_threads");
-          json->Field("kind", CompatKindName(kind));
-          json->Field("policy", UserPolicyName(up));
-          json->Field("tasks", static_cast<uint64_t>(tasks.size()));
-          json->Field("task_size", task_size);
-          json->Field("max_seeds", max_seeds);
-          json->Field("seed_threads", seed_threads);
-          json->Field("view_seconds", seconds);
-          json->Field("view_tasks_per_sec", Rate(tasks.size(), seconds));
-          json->Field("identical", true);
-          json->EndObject();
-        }
-      }
-    }
+    CompareOnFixture(SharedFixture(kind), kind, "dense_skills", policies,
+                     num_tasks, task_size, max_seeds, top_pool,
+                     /*seed_sweep=*/true, json);
+  }
+  // MinDistance only: MostCompatible scores every compatible candidate by
+  // its full row, which here means thousands of n-length rows per task.
+  for (CompatKind kind : kinds) {
+    Fixture large(LargeGnm(), kind);
+    CompareOnFixture(large, kind, "gnm_dense_skills",
+                     {UserPolicy::kMinDistance}, quick ? 2 : 6, task_size,
+                     /*max_seeds=*/16, top_pool, /*seed_sweep=*/false, json);
   }
 }
 

@@ -27,8 +27,8 @@
 // --eval-path=view|oracle to pick the evaluation path: the dense view
 // (default; the oracle loop only when the view cannot be built) or the
 // pair-by-pair oracle reference. It prints the path taken: `view`,
-// `oracle`, or `oracle fallback` when the view could not be built (byte
-// budget, or a graph of 2^15 nodes or more).
+// `oracle`, or `oracle fallback` when the view could not be built (over
+// its byte budget, or an injected fault).
 //
 // Robustness knobs (see README "Robustness"): `serve --deadline-ms=B`
 // stamps every generated request with a B-millisecond SLO budget;

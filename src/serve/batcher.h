@@ -19,8 +19,8 @@
 //     universe A and the batch's accumulated union U stays above
 //     min_jaccard (duplicates and subsets always pass),
 //   * the union view's estimated bytes stay under max_view_bytes
-//     (subsets skip this check too — they cannot grow the dense
-//     matrices, only add holder-mask rows), and
+//     (subsets skip this check too — they cannot add candidate rows,
+//     only holder masks), and
 //   * the batch stays under max_batch requests.
 // A rejected request simply stays pending and seeds or joins a later
 // batch; admission order among pending requests is preserved per drain
@@ -85,9 +85,9 @@ struct RequestBatch {
 
 class BatchScheduler {
  public:
-  /// `skills` must outlive the scheduler. `sbph` selects the doubled
-  /// bit-matrix term in the view byte estimate. `deadline` governs
-  /// in-queue expiry shedding (only ShedMode::kQueue sheds here).
+  /// `skills` must outlive the scheduler. `sbph` selects the SBPH terms
+  /// (closure and distance rows) of the view byte estimate. `deadline`
+  /// governs in-queue expiry shedding (only ShedMode::kQueue sheds here).
   BatchScheduler(const SkillAssignment& skills, bool sbph, BatchPolicy policy,
                  DeadlinePolicy deadline = {});
 

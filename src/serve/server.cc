@@ -173,22 +173,22 @@ void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
   resp.batch_size = batch_size;
   resp.used_shared_view = false;
   bool served = false;
-  bool complete = false;
   auto view = TaskCompatView::BuildFromCachedRows(
       worker->oracle.get(), skills_, sr->request.task,
       HolderUniverse(skills_, sr->request.task.skills()),
-      options_.batch.max_view_bytes, &complete);
+      options_.batch.max_view_bytes);
   if (view != nullptr) {
     Rng rng(sr->request.rng_seed);
     TeamResult result =
         worker->former->FormWithView(*view, sr->request.task, &rng);
-    // A complete cache-only view is bit-identical to the full build, so
-    // even a "no team exists" verdict is the exact answer. An incomplete
-    // view only counts when it actually found a team — a miss may just
-    // mean the missing rows held the answer.
-    if (complete || result.found) {
+    // With no missed row, every row the formation read was real, so the
+    // outcome — even a "no team exists" verdict — is the exact answer.
+    // Otherwise it only counts when it actually found a team: a miss may
+    // just mean the missing rows held the answer.
+    const bool exact = view->missed_rows() == 0;
+    if (exact || result.found) {
       resp.result = std::move(result);
-      resp.degraded = !complete;
+      resp.degraded = !exact;
       served = true;
     }
   }
@@ -286,8 +286,8 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
 
     // One shared view (and one StreamRows cache prewarm of the union
     // holder universe) serves the whole group. nullptr — union over the
-    // byte budget or graph too large for dense uint16 distances — falls
-    // back to standalone Form per request, which is bit-identical.
+    // byte budget — falls back to standalone Form per request, which is
+    // bit-identical.
     std::unique_ptr<TaskCompatView> view;
     if (!full.empty() && !batch.union_task.empty()) {
       const auto build_start = std::chrono::steady_clock::now();

@@ -34,8 +34,8 @@
 // view build degrades instead of missing its deadline:
 //
 //   full dense view  →  cache-only view  →  standalone Form  →  reject
-//        (exact)       (degraded unless        (exact)       (DeadlineExceeded)
-//                       every row cached)
+//        (exact)       (degraded if a row      (exact)       (DeadlineExceeded)
+//                       it read was missing)
 //
 // Degraded responses carry TeamResponse::degraded = true and are the only
 // ones that may differ from the exact answer; they are sound (every
@@ -106,14 +106,14 @@ struct ServerMetrics {
   uint64_t completed = 0;
   uint64_t batches = 0;
   /// Batches served through a shared union view / through the standalone
-  /// fallback (union view over budget or graph too large for the dense
-  /// representation).
+  /// fallback (union view over its byte budget, or an injected fault).
   uint64_t shared_view_batches = 0;
   uint64_t fallback_batches = 0;
   /// Requests fulfilled with DeadlineExceeded (expired in queue or at the
   /// worker, or unfundable by any tier).
   uint64_t shed = 0;
-  /// Requests served from an incomplete cache-only view (degraded=true).
+  /// Requests served from a cache-only view that missed a row
+  /// (degraded=true).
   uint64_t degraded = 0;
   LatencyHistogram queue_us;
   LatencyHistogram service_us;

@@ -10,9 +10,9 @@
 // composition, worker count, or queue depth (see
 // GreedyTeamFormer::FormWithView). Replaying a request stream with the
 // same seeds therefore reproduces every team bit for bit. Responses
-// flagged `degraded` are the one exception: they were served from an
-// incomplete cache-only view under deadline pressure (see server.h) and
-// are excluded from replay digests.
+// flagged `degraded` are the one exception: they were served from a
+// cache-only view that missed a row under deadline pressure (see
+// server.h) and are excluded from replay digests.
 //
 // Deadline semantics: deadline_us is a relative SLO budget measured from
 // admission. What the server does with it is governed by ShedMode — from
@@ -93,11 +93,11 @@ struct TeamResponse {
   /// down before serving it.
   Status status;
   TeamResult result;
-  /// True when the team came from a degraded tier (incomplete cache-only
-  /// view): valid — every member pair was confirmed compatible — but not
-  /// necessarily the team the exact path would have formed. Exact
-  /// responses (full view, standalone Form, or a *complete* cache-only view)
-  /// never set this.
+  /// True when the team came from a degraded tier (a cache-only view that
+  /// missed a row): valid — every member pair was confirmed compatible —
+  /// but not necessarily the team the exact path would have formed. Exact
+  /// responses (full view, standalone Form, or a cache-only view with no
+  /// missed row) never set this.
   bool degraded = false;
   /// Requests that shared this request's batch (1 = served alone).
   uint32_t batch_size = 0;

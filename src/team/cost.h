@@ -23,7 +23,7 @@ uint32_t TeamDiameter(CompatibilityOracle* oracle,
 
 /// Dense-view variant: `team_local` holds view-local ids. Returns exactly
 /// what the oracle overload returns for the corresponding global ids —
-/// the view stores the same distances, uint16-packed.
+/// the view stores the oracle's distances unchanged.
 uint32_t TeamDiameter(const TaskCompatView& view,
                       std::span<const uint32_t> team_local);
 

@@ -207,20 +207,16 @@ uint32_t GreedyTeamFormer::SelectUserView(
 
   switch (params_.user_policy) {
     case UserPolicy::kMinDistance: {
-      // Dense uint16 loads with the oracle loop's candidate-level early
+      // Dense distance loads with the oracle loop's candidate-level early
       // break (a pure pruning: the partial max only ever loses a failing
       // comparison). First-strict-minimum in ascending candidate order —
       // the same winner as the oracle path.
-      const bool sbph = view.kind() == CompatKind::kSBPH;
       uint32_t best = kNoLocalId;
       uint64_t best_score = ~0ULL;
       for (uint32_t v : candidates) {
         uint32_t worst = 0;
         for (uint32_t x : team) {
-          const uint16_t packed =
-              sbph ? std::min(view.DistRow(x)[v], view.DistRow(v)[x])
-                   : view.DistRow(x)[v];
-          worst = std::max(worst, TaskCompatView::Widen(packed));
+          worst = std::max(worst, view.PairDistance(x, v));
           if (worst >= best_score) break;
         }
         if (worst < best_score) {
@@ -373,10 +369,10 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
   std::vector<NodeId> seeds =
       GreedySeedSet(skills_, first, params_.max_seeds, rng);
 
-  // Dense path: materialize the task-local view once (with prefetch on,
-  // its row fetch doubles as the cache prewarm). The oracle loop runs only
-  // when pinned (kOracle) or when the view cannot be built (byte budget,
-  // node-count gate); either way the results are bit-identical. A
+  // Dense path: build the task-local view once (with prefetch on, its
+  // build doubles as the cache prewarm). The oracle loop runs only when
+  // pinned (kOracle) or when the view cannot be built (byte budget or an
+  // injected fault); either way the results are bit-identical. A
   // caller-supplied view already paid for all of that.
   std::unique_ptr<TaskCompatView> owned_view;
   const TaskCompatView* view = shared_view;
@@ -386,14 +382,6 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
                                        params_.view_max_bytes);
     view = owned_view.get();
     if (view == nullptr) ++oracle_fallbacks_;
-  }
-  if (view == nullptr && params_.prefetch_threads > 0) {
-    // Oracle loop: warm the row cache for the task's holder universe so
-    // the misses are computed by parallel workers instead of serially on
-    // first use.
-    oracle_->StreamRows(HolderUniverse(skills_, task.skills()),
-                        params_.prefetch_threads,
-                        [](size_t, const CompatibilityOracle::Row&) {});
   }
 
   // Only the RANDOM user policy consumes randomness inside the loop. Fork

@@ -82,9 +82,9 @@ void ThinPoolEvenly(std::vector<NodeId>* pool, uint32_t cap);
 /// How Form/FormTopK evaluate compatibility inside the seed loop. Both
 /// paths return bit-identical results.
 enum class GreedyEvalPath : uint8_t {
-  /// The task-local dense view (task_view.h). Falls back to the oracle loop
-  /// only when the view cannot be built: over `view_max_bytes`, a graph of
-  /// 2^15 nodes or more, or an injected build failure
+  /// The task-local dense view (task_view.h), for graphs of any size.
+  /// Falls back to the oracle loop only when the view cannot be built:
+  /// over `view_max_bytes` or an injected build failure
   /// (GreedyTeamFormer::oracle_fallbacks() counts these).
   kView,
   /// Consume the oracle pair-by-pair: the reference path the view is
@@ -104,14 +104,14 @@ struct GreedyParams {
   /// kMostCompatible only: cap on future-holder candidates examined per
   /// compatibility count (0 = all).
   uint32_t most_compatible_pool_cap = 256;
-  /// When nonzero, Form/FormTopK first batch-prefetch the oracle rows of
-  /// every holder of the task's skills (the row working set of the greedy
-  /// search) with this many workers via CompatibilityOracle::GetRows —
-  /// warming the shared row cache in parallel instead of computing rows
-  /// one by one inside the seed loop. On the view path this is the view
-  /// build's prewarm. 0 disables prefetching on both paths: rows then load
-  /// on first use, so a cold cache computes only the rows the seed loop
-  /// reads. Results are identical either way.
+  /// Workers for the view build's cache prewarm: when nonzero, Form/
+  /// FormTopK first batch-fetch the oracle rows of every holder of the
+  /// task's skills (the row working set of the greedy search) via
+  /// CompatibilityOracle::StreamRows — warming the shared row cache in
+  /// parallel instead of computing rows one by one inside the seed loop.
+  /// 0 disables prefetching: rows then load on first use, so a cold cache
+  /// computes only the rows the seed loop reads. The oracle loop never
+  /// prefetches. Results are identical either way.
   uint32_t prefetch_threads = 0;
   /// Workers for the seed loop (each seed's greedy completion is
   /// independent and the view is immutable). 1 = serial, 0 = hardware
@@ -123,8 +123,9 @@ struct GreedyParams {
   uint32_t seed_threads = 1;
   /// Evaluation path (see GreedyEvalPath).
   GreedyEvalPath eval_path = GreedyEvalPath::kView;
-  /// Byte budget for the task-local dense view: ~1 bit (2 for SBPH) plus
-  /// 2 bytes per candidate pair. Oversized tasks fall back to the oracle.
+  /// Byte budget for the task-local dense view, checked against
+  /// TaskCompatView::EstimateBytes: ~1 bit per candidate pair (SBPH: 2
+  /// bits plus 4 bytes). Oversized tasks fall back to the oracle.
   size_t view_max_bytes = TaskCompatView::kDefaultMaxBytes;
   /// Objective used to pick the best candidate team across seeds (the
   /// paper uses the diameter). The kMinDistance user policy always greedily

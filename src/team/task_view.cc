@@ -51,35 +51,59 @@ size_t TaskCompatView::TaskSkillPos(SkillId skill) const {
   return static_cast<size_t>(it - skills.begin());
 }
 
+TaskCompatView::~TaskCompatView() {
+  for (uint32_t i = 0; i < m_; ++i) {
+    delete[] dir_rows_[i].load(std::memory_order_relaxed);
+    delete[] dist_rows_[i].load(std::memory_order_relaxed);
+  }
+}
+
 size_t TaskCompatView::EstimateBytes(size_t m, size_t num_task_skills,
                                      bool sbph) {
   const size_t words = (m + 63) / 64;
-  return m * sizeof(NodeId) + m * words * sizeof(uint64_t) * (sbph ? 2 : 1) +
-         m * m * sizeof(uint16_t) + num_task_skills * words * sizeof(uint64_t) +
-         num_task_skills * sizeof(uint32_t);
+  const size_t bit_rows = m * words * sizeof(uint64_t);
+  return m * (sizeof(NodeId) + sizeof(std::atomic<uint64_t*>) +
+              sizeof(std::atomic<uint32_t*>)) +
+         num_task_skills * (words * sizeof(uint64_t) + sizeof(uint32_t)) +
+         bit_rows + (sbph ? bit_rows + m * m * sizeof(uint32_t) : 0);
 }
 
 size_t TaskCompatView::bytes() const {
+  size_t dir = 0, dist = 0;
+  for (uint32_t i = 0; i < m_; ++i) {
+    dir += dir_rows_[i].load(std::memory_order_acquire) != nullptr;
+    dist += dist_rows_[i].load(std::memory_order_acquire) != nullptr;
+  }
   return universe_.capacity() * sizeof(NodeId) +
-         (static_cast<size_t>(m_) * words_ + pair_bits_.capacity() +
-          holder_bits_.capacity()) *
+         m_ * (sizeof(dir_rows_[0]) + sizeof(dist_rows_[0])) +
+         (dir * words_ + pair_bits_.capacity() + holder_bits_.capacity()) *
              sizeof(uint64_t) +
-         static_cast<size_t>(m_) * m_ * sizeof(uint16_t) +
-         static_cast<size_t>(m_) * 2 * sizeof(std::atomic<uint8_t>) +
+         dist * m_ * sizeof(uint32_t) +
          holder_counts_.capacity() * sizeof(uint32_t);
 }
 
-void TaskCompatView::FillDirRow(uint32_t local,
-                                const CompatibilityOracle::Row* row) const {
-  uint64_t* bits = dir_bits_.get() + static_cast<size_t>(local) * words_;
+std::shared_ptr<const CompatibilityOracle::Row> TaskCompatView::SourceRow(
+    uint32_t local) const {
+  // A cache hit when the build prewarmed the universe; otherwise (no
+  // prewarm, or an eviction since) the kernel computes the row here —
+  // pricier, but the values are identical. A cache-only view never
+  // computes: an absent row comes back as nullptr and is counted.
+  if (!cache_only_) return oracle_->GetRowShared(universe_[local]);
+  auto row = oracle_->PeekRow(universe_[local]);
+  if (row == nullptr) missed_rows_.fetch_add(1, std::memory_order_relaxed);
+  return row;
+}
+
+const uint64_t* TaskCompatView::FillDirRow(
+    uint32_t local, const CompatibilityOracle::Row* row) const {
+  uint64_t* bits = new uint64_t[words_];
   if (row == nullptr) {
     std::fill(bits, bits + words_, uint64_t{0});
   } else {
     const uint8_t* comp_src = row->comp.data();
     const NodeId* uni = universe_.data();
-    const size_t m = m_;
     for (size_t w = 0; w < words_; ++w) {
-      const size_t j_end = std::min(m, (w + 1) * 64);
+      const size_t j_end = std::min<size_t>(m_, (w + 1) * 64);
       uint64_t word = 0;
       for (size_t j = w * 64; j < j_end; ++j) {
         word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
@@ -87,56 +111,51 @@ void TaskCompatView::FillDirRow(uint32_t local,
       bits[w] = word;
     }
   }
-  dir_ready_[local].store(1, std::memory_order_release);
+  dir_rows_[local].store(bits, std::memory_order_release);
+  return bits;
 }
 
-void TaskCompatView::FillDistRow(uint32_t local,
-                                 const CompatibilityOracle::Row* row) const {
-  uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
+const uint32_t* TaskCompatView::FillDistRow(
+    uint32_t local, const CompatibilityOracle::Row* row) const {
+  uint32_t* dist = new uint32_t[m_];
   if (row == nullptr) {
-    std::fill(dist, dist + m_, kDenseUnreachable);
+    std::fill(dist, dist + m_, kUnreachable);
   } else {
     const uint32_t* dist_src = row->dist.data();
     const NodeId* uni = universe_.data();
-    for (size_t j = 0; j < m_; ++j) {
-      // kUnreachable saturates to the sentinel; finite distances fit by the
-      // Allocate() node-count gate.
-      dist[j] = static_cast<uint16_t>(
-          std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
-    }
+    for (size_t j = 0; j < m_; ++j) dist[j] = dist_src[uni[j]];
   }
-  dist_ready_[local].store(1, std::memory_order_release);
+  dist_rows_[local].store(dist, std::memory_order_release);
+  return dist;
 }
 
-void TaskCompatView::MaterializeDirRow(uint32_t local) const {
+const uint64_t* TaskCompatView::MaterializeDirRow(uint32_t local) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
-  if (dir_ready_[local].load(std::memory_order_relaxed)) return;
-  // A cache hit when the build prewarmed the universe; otherwise (no
-  // prewarm, or an eviction since) the kernel computes the row here —
-  // pricier, but the values are identical.
-  FillDirRow(local, oracle_->GetRowShared(universe_[local]).get());
+  if (const uint64_t* row = dir_rows_[local].load(std::memory_order_relaxed)) {
+    return row;
+  }
+  return FillDirRow(local, SourceRow(local).get());
 }
 
-void TaskCompatView::MaterializeDistRow(uint32_t local) const {
+const uint32_t* TaskCompatView::MaterializeDistRow(uint32_t local) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
-  if (dist_ready_[local].load(std::memory_order_relaxed)) return;
-  FillDistRow(local, oracle_->GetRowShared(universe_[local]).get());
+  if (const uint32_t* row = dist_rows_[local].load(std::memory_order_relaxed)) {
+    return row;
+  }
+  return FillDistRow(local, SourceRow(local).get());
 }
 
 void TaskCompatView::BuildPairClosure() {
-  const size_t m = m_;
-  const size_t words = words_;
-  const uint64_t* dir = dir_bits_.get();
-  pair_bits_.assign(dir, dir + m * words);
-  for (size_t i = 0; i < m; ++i) {
-    const uint64_t* row_i = dir + i * words;
-    for (size_t j = i + 1; j < m; ++j) {
-      if ((row_i[j >> 6] >> (j & 63)) & 1u) {
-        pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
-      }
-      if ((dir[j * words + (i >> 6)] >> (i & 63)) & 1u) {
-        pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
-      }
+  pair_bits_.assign(static_cast<size_t>(m_) * words_, 0);
+  std::vector<uint32_t> set;
+  for (uint32_t i = 0; i < m_; ++i) {
+    auto dir = DirRow(i);
+    uint64_t* out = pair_bits_.data() + static_cast<size_t>(i) * words_;
+    for (size_t w = 0; w < words_; ++w) out[w] |= dir[w];
+    set.clear();
+    AppendSetBits(dir, &set);
+    for (uint32_t j : set) {
+      pair_bits_[j * words_ + (i >> 6)] |= uint64_t{1} << (i & 63);
     }
   }
 }
@@ -145,10 +164,6 @@ std::unique_ptr<TaskCompatView> TaskCompatView::Allocate(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
     const Task& task, std::vector<NodeId> universe, size_t max_bytes) {
   TFSN_CHECK(oracle != nullptr);
-  // Finite relation distances are path lengths over at most (node, side)
-  // states, hence < 2 * num_nodes; this gate guarantees they all fit
-  // under the uint16 sentinel so no per-cell overflow checks are needed.
-  if (oracle->graph().num_nodes() >= kDenseUnreachable / 2) return nullptr;
   auto task_skills = task.skills();
   const size_t m = universe.size();
   const size_t words = (m + 63) / 64;
@@ -159,16 +174,11 @@ std::unique_ptr<TaskCompatView> TaskCompatView::Allocate(
   view->oracle_ = oracle;
   view->task_ = task;
   view->kind_ = oracle->kind();
-  view->m_ = static_cast<uint32_t>(m);
+  view->dir_rows_.reset(new std::atomic<uint64_t*>[m]());
+  view->dist_rows_.reset(new std::atomic<uint32_t*>[m]());
+  view->m_ = static_cast<uint32_t>(m);  // after the arrays the dtor walks
   view->words_ = words;
   view->universe_ = std::move(universe);
-  // Dense rows are deliberately left uninitialized (no m^2 zeroing): each
-  // row is written by FillDirRow/FillDistRow, gated by its ready flag
-  // (value-initialized to 0).
-  view->dir_bits_.reset(new uint64_t[m * words]);
-  view->dist_.reset(new uint16_t[m * m]);
-  view->dir_ready_.reset(new std::atomic<uint8_t>[m]());
-  view->dist_ready_.reset(new std::atomic<uint8_t>[m]());
 
   view->holder_bits_.assign(task_skills.size() * words, 0);
   view->holder_counts_.assign(task_skills.size(), 0);
@@ -207,8 +217,8 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
     // SBPH pair semantics are the symmetric closure of the direction-
     // dependent heuristic rows (see CompatibilityOracle::Compatible),
     // which needs the transpose — so fill every dir row eagerly (on one
-    // worker when prewarm is off) and materialize dir | dir^T once,
-    // keeping the seed loop's AND-folds plain word operations.
+    // worker when prewarm is off) and build dir | dir^T once, keeping the
+    // seed loop's AND-folds plain word operations.
     oracle->StreamRows(view->universe_, std::max<uint32_t>(threads, 1),
                        [&](size_t i, const CompatibilityOracle::Row& row) {
                          view->FillDirRow(static_cast<uint32_t>(i), &row);
@@ -219,7 +229,7 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
     // — 64-way bit-parallel where the relation allows — and published to
     // the shared row cache, then the chunk's pins are dropped before the
     // next so peak memory stays at one batch of full-length rows. The
-    // dense rows themselves materialize lazily from these cached rows.
+    // dense rows themselves fill lazily from these cached rows.
     oracle->StreamRows(view->universe_, threads,
                        [](size_t, const CompatibilityOracle::Row&) {});
   }
@@ -228,31 +238,15 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
 
 std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromCachedRows(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
-    const Task& task, std::vector<NodeId> universe, size_t max_bytes,
-    bool* complete) {
-  TFSN_CHECK(complete != nullptr);
-  *complete = false;
+    const Task& task, std::vector<NodeId> universe, size_t max_bytes) {
   auto view = Allocate(oracle, skills, task, std::move(universe), max_bytes);
   if (view == nullptr) return nullptr;
-
-  // Every row fills eagerly — from its cached oracle row when resident,
-  // pessimistically otherwise (an unknown candidate admits nobody and
-  // reaches nobody, so teams formed against the view only ever rely on
-  // pairs a real row confirmed: sound, possibly suboptimal) — and both
-  // ready sets are fully published, so the lazy materializers (and hence
-  // the oracle's compute path) are never reached through this view.
-  bool all_cached = true;
-  for (uint32_t i = 0; i < view->m_; ++i) {
-    std::shared_ptr<const CompatibilityOracle::Row> row =
-        oracle->PeekRow(view->universe_[i]);
-    if (row == nullptr) all_cached = false;
-    view->FillDirRow(i, row.get());
-    view->FillDistRow(i, row.get());
-  }
-  // Symmetric closure over the known directional bits, exactly as the
-  // full build computes it.
+  view->cache_only_ = true;
+  // An unknown candidate admits nobody and reaches nobody, so teams formed
+  // against the view only ever rely on pairs a real row confirmed: sound,
+  // possibly suboptimal. SBPH's closure still needs every dir row (each
+  // from the cache or pessimistic), exactly as the full build computes it.
   if (view->kind_ == CompatKind::kSBPH) view->BuildPairClosure();
-  *complete = all_cached;
   return view;
 }
 

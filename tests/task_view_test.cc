@@ -124,7 +124,7 @@ TEST(TaskViewTest, ThresholdOracleCustomKernelSupported) {
   }
 }
 
-TEST(TaskViewTest, UnreachablePairsWidenToOracleSentinel) {
+TEST(TaskViewTest, UnreachablePairsMatchOracle) {
   // Two positive components with no connecting edge: cross-component NNE
   // pairs are compatible but at infinite distance.
   SignedGraphBuilder b(4);
@@ -204,6 +204,120 @@ TEST(TaskViewTest, BuildFallsBackOnTinyBudget) {
   EXPECT_EQ(TaskCompatView::Build(oracle.get(), inst.skills, task,
                                   /*threads=*/1, /*max_bytes=*/16),
             nullptr);
+}
+
+TEST(TaskViewTest, CacheOnlyViewMatchesFormOnRowsFormTouched) {
+  // A cache warmed by one lazy Form holds exactly the rows that form read,
+  // so the cache-only view replays it with no missed row.
+  Instance inst = MakeInstance(60, 160, 0.25, 10, 181);
+  for (CompatKind kind :
+       {CompatKind::kSPM, CompatKind::kSBPH, CompatKind::kNNE}) {
+    for (UserPolicy up :
+         {UserPolicy::kMinDistance, UserPolicy::kMostCompatible}) {
+      GreedyParams params;
+      params.skill_policy = SkillPolicy::kRarest;
+      params.user_policy = up;
+      params.prefetch_threads = 0;
+      Rng task_rng(47);
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::string what = std::string(CompatKindName(kind)) + "/" +
+                                 UserPolicyName(up) + "/trial " +
+                                 std::to_string(trial);
+        auto oracle = MakeOracle(inst.graph, kind);  // fresh private cache
+        GreedyTeamFormer former(oracle.get(), inst.skills, nullptr, params);
+        Task task = RandomTask(inst.skills, 4, &task_rng);
+        Rng rng_a(8000 + trial), rng_b(8000 + trial);
+        const TeamResult formed = former.Form(task, &rng_a);
+        auto view = TaskCompatView::BuildFromCachedRows(
+            oracle.get(), inst.skills, task,
+            HolderUniverse(inst.skills, task.skills()),
+            TaskCompatView::kDefaultMaxBytes);
+        ASSERT_NE(view, nullptr) << what;
+        ExpectSameResult(former.FormWithView(*view, task, &rng_b), formed,
+                         what);
+        EXPECT_EQ(view->missed_rows(), 0u) << what;
+      }
+    }
+  }
+}
+
+TEST(TaskViewTest, CacheOnlyViewWithMissingRowsIsSound) {
+  // On an empty cache every row the formation reads is a pessimistic fill,
+  // counted as missed. With every other universe row resident, teams can
+  // still form; each one must be compatible under the oracle.
+  Instance inst = MakeInstance(60, 160, 0.25, 10, 191);
+  uint32_t partial_found = 0;
+  for (CompatKind kind :
+       {CompatKind::kSPM, CompatKind::kSBPH, CompatKind::kNNE}) {
+    GreedyParams params;
+    params.skill_policy = SkillPolicy::kRarest;
+    Rng task_rng(53);
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string what =
+          std::string(CompatKindName(kind)) + "/trial " + std::to_string(trial);
+      Task task = RandomTask(inst.skills, 4, &task_rng);
+      const std::vector<NodeId> universe =
+          HolderUniverse(inst.skills, task.skills());
+      for (bool partial : {false, true}) {
+        auto oracle = MakeOracle(inst.graph, kind);
+        if (partial) {
+          for (size_t i = 0; i < universe.size(); i += 2) {
+            oracle->GetRowShared(universe[i]);
+          }
+        }
+        const uint64_t computed = oracle->rows_computed();
+        GreedyTeamFormer former(oracle.get(), inst.skills, nullptr, params);
+        auto view = TaskCompatView::BuildFromCachedRows(
+            oracle.get(), inst.skills, task, universe,
+            TaskCompatView::kDefaultMaxBytes);
+        ASSERT_NE(view, nullptr) << what;
+        Rng rng(9000 + trial);
+        const TeamResult result = former.FormWithView(*view, task, &rng);
+        EXPECT_EQ(oracle->rows_computed(), computed) << what;
+        if (!partial) {
+          EXPECT_GT(view->missed_rows(), 0u) << what;
+        }
+        if (result.found) {
+          partial_found += partial;
+          EXPECT_TRUE(TeamCompatible(oracle.get(), result.members)) << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(partial_found, 0u);
+}
+
+TEST(TaskViewTest, GraphAboveUint16DistancesFormsOnView) {
+  // A 70,000-node positive path with the two skills at its ends: the only
+  // team spans the whole path, at a distance no uint16 cell can hold.
+  constexpr uint32_t kNodes = 70000;
+  SignedGraphBuilder b(kNodes);
+  for (NodeId u = 0; u + 1 < kNodes; ++u) {
+    b.AddEdge(u, u + 1, Sign::kPositive).CheckOK();
+  }
+  SignedGraph g = std::move(b.Build()).ValueOrDie();
+  std::vector<std::vector<SkillId>> user_skills(kNodes);
+  user_skills[0] = {0};
+  user_skills[kNodes - 1] = {1};
+  auto sa = std::move(SkillAssignment::Create(user_skills, 2)).ValueOrDie();
+  const Task task({0, 1});
+  for (CompatKind kind : {CompatKind::kSPM, CompatKind::kNNE}) {
+    auto oracle = MakeOracle(g, kind);
+    GreedyParams params;
+    params.skill_policy = SkillPolicy::kRarest;
+    GreedyParams ref_params = params;
+    ref_params.eval_path = GreedyEvalPath::kOracle;
+    GreedyTeamFormer former(oracle.get(), sa, nullptr, params);
+    GreedyTeamFormer reference(oracle.get(), sa, nullptr, ref_params);
+    Rng rng_a(1), rng_b(1);
+    const TeamResult via_view = former.Form(task, &rng_a);
+    ExpectSameResult(via_view, reference.Form(task, &rng_b),
+                     CompatKindName(kind));
+    EXPECT_TRUE(via_view.found) << CompatKindName(kind);
+    EXPECT_EQ(via_view.members, (std::vector<NodeId>{0, kNodes - 1}));
+    EXPECT_EQ(via_view.cost, kNodes - 1) << CompatKindName(kind);
+    EXPECT_EQ(former.oracle_fallbacks(), 0u) << CompatKindName(kind);
+  }
 }
 
 // ---------------------------------------------------------------------------
