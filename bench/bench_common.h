@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -105,6 +107,15 @@ class JsonArrayWriter {
   bool first_object_ = true;
   bool first_field_ = true;
 };
+
+/// Host provenance for a JSON row: nproc, compiler and build type
+/// (bench/CMakeLists.txt defines TFSN_BENCH_COMPILER and
+/// TFSN_BENCH_BUILD_TYPE for every bench binary).
+inline void HardwareFields(JsonArrayWriter* json) {
+  json->Field("nproc", static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  json->Field("compiler", TFSN_BENCH_COMPILER);
+  json->Field("build_type", TFSN_BENCH_BUILD_TYPE);
+}
 
 /// Splits a comma-separated list.
 inline std::vector<std::string> SplitCsv(const std::string& s) {

@@ -21,8 +21,6 @@
 //     unsigned RarestFirst baseline, and the skill-index build. Run with
 //     --benchmark_filter=... to narrow.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -95,13 +93,6 @@ Dataset LargeGnm() {
   sp.num_skills = 2000;
   ds.skills = ZipfSkills(kNodes, sp, &rng);
   return ds;
-}
-
-// Host provenance for every JSON row.
-void HardwareFields(bench::JsonArrayWriter* json) {
-  json->Field("nproc", static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
-  json->Field("compiler", TFSN_BENCH_COMPILER);
-  json->Field("build_type", TFSN_BENCH_BUILD_TYPE);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +240,7 @@ void CompareOnFixture(Fixture& fx, CompatKind kind, const char* workload,
       json->Field("speedup", speedup);
       json->Field("identical", true);
       json->Field("oracle_fallbacks", fallbacks);
-      HardwareFields(json);
+      bench::HardwareFields(json);
       json->EndObject();
     }
     if (!seed_sweep) continue;
@@ -289,7 +280,7 @@ void CompareOnFixture(Fixture& fx, CompatKind kind, const char* workload,
         json->Field("view_tasks_per_sec", Rate(tasks.size(), seconds));
         json->Field("identical", true);
         json->Field("oracle_fallbacks", fallbacks);
-        HardwareFields(json);
+        bench::HardwareFields(json);
         json->EndObject();
       }
     }
@@ -449,9 +440,11 @@ int main(int argc, char** argv) {
   // Strip the custom flags; Google Benchmark rejects unknown --flags.
   auto is_custom = [](const char* a) {
     for (const char* name : {"--json", "--quick", "--view", "--tasks",
-                             "--task_size", "--max_seeds", "--scale", "--top_pool"}) {
+                             "--task_size", "--max_seeds", "--scale",
+                             "--top_pool"}) {
       const size_t len = std::strlen(name);
-      if (std::strncmp(a, name, len) == 0 && (a[len] == '\0' || a[len] == '=')) {
+      if (std::strncmp(a, name, len) == 0 &&
+          (a[len] == '\0' || a[len] == '=')) {
         return true;
       }
     }

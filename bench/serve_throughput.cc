@@ -1,35 +1,36 @@
-// Serving-layer throughput harness: batched scheduler vs the
-// one-task-per-view baseline.
+// Serving-layer throughput harness: one Form per request through the
+// server, on a flat and on a tiered row cache.
 //
 //   serve_throughput --quick [--json=BENCH_serve_throughput.json]
-//   serve_throughput [--scale=0.12] [--workers=2] [--batch-cap=16]
-//                    [--requests=400] [--task-size=3] [--zipf=1.0]
-//                    [--max-seeds=16] [--min-jaccard=0.05] [--qps=0]
-//                    [--seed=1] [--json=...] [--sweep]
+//   serve_throughput [--scale=0.12] [--workers=2] [--requests=400]
+//                    [--task-size=3] [--zipf=1.0] [--max-seeds=16]
+//                    [--qps=0] [--seed=1] [--json=...] [--sweep]
 //                    [--spill-dir=D] [--prewarm-frac=1.0]
 //                    [--deadline-ms=0]
 //
-// Beyond the batched-vs-unbatched comparison, the harness measures the
-// tiered row store (row_cache.h): a "batched_tiered" burst runs the same
-// stream on a fresh cache with the same byte budget but compressed rows,
-// a disk spill tier (under --spill-dir, or a private temp dir removed on
-// exit), and a Zipf prewarm in place of the flat warm pass; a
-// "compression" experiment reports the measured dense-vs-encoded ratio
-// over the stream's row working set; and --sweep runs a hit-rate-vs-
-// budget curve (10/30/100% of the working set × {flat, tiered}).
+// Every experiment serves the *same* deterministic Zipf request stream
+// on the Epinions-scale fixture through a TeamFormationServer over one
+// shared, budget-constrained row cache (the budget is a fraction of the
+// stream's row working set — see HarnessConfig::cache_fraction):
 //
-// Both modes serve the *same* deterministic Zipf request stream on the
-// Epinions-scale fixture with equal worker counts over one shared,
-// budget-constrained row cache brought to its LRU steady state by a warm
-// pass (the cache budget is a fraction of the stream's row working set —
-// see HarnessConfig::cache_fraction — and the runs execute sequentially
-// on that same steady-state cache); the only configuration difference is
-// BatchPolicy::max_batch (grouping on vs one view per request). Every
-// response is checked bit-identical against the direct GreedyTeamFormer
-// path before any number is reported — the speedup never comes from
-// changing answers. A final open-loop pass (Poisson arrivals at --qps,
-// default 60% of the measured batched throughput) records latency
-// percentiles under partial load.
+//   * compression — the measured dense-vs-encoded row ratio over the
+//     stream's working set;
+//   * burst — the whole stream submitted up front (peak service rate),
+//     once on the flat cache brought to its LRU steady state by a warm
+//     pass, once on a fresh tiered cache at the same byte budget
+//     (compressed rows, a disk spill tier under --spill-dir or a private
+//     temp dir removed on exit, and a Zipf prewarm in place of the warm
+//     pass);
+//   * open_loop — Poisson arrivals at --qps (default 60% of the flat
+//     burst throughput), latency percentiles under partial load;
+//   * overload_deadline — the whole stream under a per-request SLO with
+//     queue-tier shedding (see below);
+//   * budget_sweep (--sweep) — a hit-rate-vs-budget curve (10/30/100% of
+//     the working set × {flat, tiered}).
+//
+// Every response is checked bit-identical against the direct
+// GreedyTeamFormer path before any number is reported. Each JSON row
+// records the host's nproc, compiler and build type.
 //
 // JSON schema: README, "Bench JSON output".
 
@@ -64,15 +65,14 @@ using serve::WorkloadResult;
 struct HarnessConfig {
   double scale = 0.12;
   uint32_t workers = 2;
-  uint32_t batch_cap = 16;
   uint32_t requests = 400;
   uint32_t task_size = 3;
   double zipf = 1.0;
   uint32_t max_seeds = 16;
-  double min_jaccard = 0.05;
-  double qps = 0;  // 0 = auto (60% of measured batched throughput)
+  double qps = 0;  // 0 = auto (60% of the measured flat burst throughput)
   /// Shared row-cache budget as a fraction of the stream's row working
-  /// set. At full Epinions scale the working set (~29k rows × ~145 KB)
+  /// set: the bytes of the rows a direct, prefetch-free Form per request
+  /// reads. At full Epinions scale (~145 KB a row) the working set
   /// dwarfs any realistic cache, so the scaled-down fixture must scale
   /// the cache budget down with it to preserve the serving economics —
   /// an unconstrained cache at toy scale would measure nothing but
@@ -88,7 +88,7 @@ struct HarnessConfig {
   bool sweep = false;
   /// SLO budget for the overload experiment, in milliseconds. 0 = auto:
   /// sized so only ~a quarter of the burst fits inside the budget at the
-  /// measured batched throughput — overload by construction.
+  /// measured flat burst throughput — overload by construction.
   double deadline_ms = 0;
 };
 
@@ -100,34 +100,17 @@ GreedyParams ServeGreedyParams(const HarnessConfig& config) {
   return params;
 }
 
-ServerOptions MakeServerOptions(const HarnessConfig& config,
-                                uint32_t max_batch) {
+ServerOptions MakeServerOptions(const HarnessConfig& config) {
   ServerOptions options;
   options.workers = config.workers;
   // Sized for the whole stream: the burst experiment submits every
   // request up front to measure peak service throughput.
   options.queue_capacity = config.requests + 1;
-  options.batch.max_batch = max_batch;
-  options.batch.min_jaccard = config.min_jaccard;
-  options.batch.max_view_bytes = 64ull << 20;
   options.greedy = ServeGreedyParams(config);
   return options;
 }
 
 double MsOf(uint64_t us) { return static_cast<double>(us) / 1000.0; }
-
-// "1:3;2:5;16:12" — batch size : batch count, sizes ascending, zero
-// counts omitted.
-std::string BatchSizeDist(const ServerMetrics& metrics) {
-  std::string out;
-  for (size_t b = 1; b < metrics.batch_size_counts.size(); ++b) {
-    if (metrics.batch_size_counts[b] == 0) continue;
-    if (!out.empty()) out += ';';
-    out += std::to_string(b) + ":" +
-           std::to_string(metrics.batch_size_counts[b]);
-  }
-  return out;
-}
 
 // Bit-identity check against the direct former. Shed (DeadlineExceeded)
 // and degraded responses are exempt by contract — degradation may trade
@@ -161,6 +144,7 @@ void VerifyAgainstReference(const std::vector<TeamResult>& reference,
 void EmitCommon(bench::JsonArrayWriter* json, const Dataset& ds,
                 const HarnessConfig& config) {
   json->Field("bench", "serve_throughput");
+  bench::HardwareFields(json);
   json->Field("n", ds.graph.num_nodes());
   json->Field("edges", ds.graph.num_edges());
   json->Field("kind", "SPM");
@@ -188,13 +172,11 @@ void EmitLatency(bench::JsonArrayWriter* json, const ServerMetrics& metrics) {
   json->Field("queue_p50_ms", MsOf(metrics.queue_us.ValueAtQuantile(0.50)));
 }
 
-void EmitBatching(bench::JsonArrayWriter* json, const ServerMetrics& metrics,
-                  const RowCache::StatsSnapshot& cache_window) {
-  json->Field("batches", metrics.batches);
-  json->Field("mean_batch_size", metrics.MeanBatchSize());
-  json->Field("shared_view_batches", metrics.shared_view_batches);
-  json->Field("fallback_batches", metrics.fallback_batches);
-  json->Field("batch_size_dist", BatchSizeDist(metrics));
+void EmitServing(bench::JsonArrayWriter* json, const ServerMetrics& metrics,
+                 const RowCache::StatsSnapshot& cache_window) {
+  json->Field("full_path", metrics.batches);
+  json->Field("on_view", metrics.shared_view_batches);
+  json->Field("oracle_fallbacks", metrics.fallback_batches);
   json->Field("cache_hit_rate", cache_window.HitRate());
   json->Field("cache_lookups", cache_window.lookups());
   // Tier counters (all zero on a flat cache; see README schema notes).
@@ -230,29 +212,40 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
   wl.num_requests = config.requests;
   const std::vector<TeamRequest> requests = GenerateRequests(ds.skills, wl);
 
-  // The row working set of the stream: every holder of every requested
-  // skill (each row costs ~5 bytes per graph node in the cache).
+  // Direct reference pass on a fresh, unbounded cache: every served
+  // response must match it bit for bit, and the rows it inserts are the
+  // stream's row working set — exactly the rows a prefetch-free Form per
+  // request reads, which is what the server does.
+  std::vector<TeamResult> reference;
   std::vector<NodeId> touched;
-  for (const TeamRequest& req : requests) {
-    const std::vector<NodeId> universe =
-        HolderUniverse(ds.skills, req.task.skills());
-    touched.insert(touched.end(), universe.begin(), universe.end());
+  size_t working_set_bytes = 0;
+  {
+    RowCacheOptions unbounded;
+    unbounded.max_bytes = 0;
+    auto cache = std::make_shared<RowCache>(unbounded);
+    auto oracle = MakeOracle(ds.graph, CompatKind::kSPM, OracleParams{}, cache);
+    GreedyParams params = ServeGreedyParams(config);
+    params.prefetch_threads = 0;
+    GreedyTeamFormer former(oracle.get(), ds.skills, &index, params);
+    reference.reserve(requests.size());
+    for (const TeamRequest& req : requests) {
+      Rng rng(req.rng_seed);
+      reference.push_back(former.Form(req.task, &rng));
+    }
+    for (NodeId q = 0; q < ds.graph.num_nodes(); ++q) {
+      if (oracle->PeekRow(q) != nullptr) touched.push_back(q);
+    }
+    working_set_bytes = cache->stats().bytes_in_use;
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   const size_t row_bytes = static_cast<size_t>(ds.graph.num_nodes()) * 5;
-  const size_t working_set_bytes = touched.size() * row_bytes;
 
-  // One shared, *budget-constrained* row cache serves every mode (see
+  // One shared, *budget-constrained* row cache serves every flat run (see
   // HarnessConfig::cache_fraction: serving heavy traffic means the row
   // working set does not fit — SPM rows are counting BFS traversals of
   // ~100 µs each, and recomputing them on eviction-driven misses is the
-  // dominant steady-state cost). The unbatched baseline prewarms one
-  // holder universe per request; the batched scheduler prewarms once per
-  // group — that row-production amortization is what this harness
-  // measures. A warm pass first brings the LRU to its steady state so
-  // neither mode pays one-time cold-start costs inside its window;
-  // per-window hit rates come from lock-free snapshot deltas.
+  // dominant steady-state cost). A warm pass first brings the LRU to its
+  // steady state so no run pays one-time cold-start costs inside its
+  // window; per-window hit rates come from lock-free snapshot deltas.
   RowCacheOptions cache_options;
   cache_options.max_bytes =
       config.cache_mb > 0
@@ -332,42 +325,23 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
     }
   }
 
-  // Direct reference pass: every served response must match this bit for
-  // bit, whatever the batching.
-  std::vector<TeamResult> reference;
-  {
-    auto oracle =
-        MakeOracle(ds.graph, CompatKind::kSPM, OracleParams{}, warm_cache);
-    GreedyTeamFormer former(oracle.get(), ds.skills, &index,
-                            ServeGreedyParams(config));
-    reference.reserve(requests.size());
-    for (const TeamRequest& req : requests) {
-      Rng rng(req.rng_seed);
-      reference.push_back(former.Form(req.task, &rng));
-    }
-  }
-
-  // Saturated throughput, batched vs one-task-per-view, equal workers,
-  // both on the shared steady-state cache (each run inherits the LRU mix
-  // the previous pass left — approximately the same stationary state
-  // either way, since the stream is identical). The burst submits the
-  // whole stream up front, so the admission queue stays deep and the
-  // scheduler sees its full grouping window — peak service rate, no
-  // client-thread scheduling noise.
-  // The third mode is the tiered row store at the *same* byte budget:
-  // compressed tier 0 (so the budget holds ~5-10x more rows), disk spill
-  // for the overflow, and a Zipf-aware prewarm in place of the flat warm
-  // pass. Bit-identity against the direct former is still enforced — the
-  // tiers only change where a row's bytes live.
-  double throughput[3] = {0, 0, 0};
-  double hit_rate[3] = {0, 0, 0};
-  const char* mode_names[3] = {"one_task_per_view", "batched",
-                               "batched_tiered"};
-  for (int mode = 0; mode < 3; ++mode) {
-    const uint32_t max_batch = mode == 0 ? 1 : config.batch_cap;
+  // Saturated throughput, flat vs tiered, equal workers. The burst
+  // submits the whole stream up front, so the admission queue stays deep
+  // — peak service rate, no client-thread scheduling noise. The flat run
+  // serves on the shared steady-state cache; the tiered run on a fresh
+  // cache at the *same* byte budget: compressed tier 0 (so the budget
+  // holds ~5-10x more rows), disk spill for the overflow, and a
+  // Zipf-aware prewarm in place of the flat warm pass. Bit-identity
+  // against the direct former is still enforced — the tiers only change
+  // where a row's bytes live.
+  double throughput[2] = {0, 0};
+  double hit_rate[2] = {0, 0};
+  const char* mode_names[2] = {"flat", "tiered"};
+  for (int mode = 0; mode < 2; ++mode) {
+    const bool tiered = mode == 1;
     std::shared_ptr<RowCache> cache = warm_cache;
     serve::PrewarmReport prewarm;
-    if (mode == 2) {
+    if (tiered) {
       RowCacheOptions tiered_options = cache_options;
       tiered_options.compress = true;
       tiered_options.spill =
@@ -387,7 +361,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
     }
     const RowCache::StatsSnapshot before = cache->SnapshotCounters();
     TeamFormationServer server(ds.graph, ds.skills, &index, CompatKind::kSPM,
-                               cache, MakeServerOptions(config, max_batch));
+                               cache, MakeServerOptions(config));
     WorkloadResult run = RunBurst(&server, requests);
     server.Shutdown();
     const ServerMetrics metrics = server.Metrics();
@@ -397,17 +371,16 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
         run.seconds > 0 ? static_cast<double>(run.completed) / run.seconds : 0;
     hit_rate[mode] = cache_window.HitRate();
     std::printf(
-        "%-18s %6.1f req/s  p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  "
-        "batches %llu (mean size %.2f)  cache hit %.1f%%\n",
+        "burst %-6s %6.1f req/s  p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  "
+        "cache hit %.1f%%\n",
         mode_names[mode], throughput[mode],
         MsOf(metrics.total_us.ValueAtQuantile(0.50)),
         MsOf(metrics.total_us.ValueAtQuantile(0.95)),
         MsOf(metrics.total_us.ValueAtQuantile(0.99)),
-        static_cast<unsigned long long>(metrics.batches),
-        metrics.MeanBatchSize(), cache_window.HitRate() * 100.0);
-    if (mode == 2) {
+        cache_window.HitRate() * 100.0);
+    if (tiered) {
       std::printf(
-          "                   compressed %.2f MB resident, %llu spill reads, "
+          "             compressed %.2f MB resident, %llu spill reads, "
           "%llu writes, %llu decodes (%.1f ms)\n",
           static_cast<double>(cache_window.compressed_bytes) / (1 << 20),
           static_cast<unsigned long long>(cache_window.spill_reads),
@@ -420,15 +393,13 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
       json->Field("experiment", "burst");
       json->Field("mode", mode_names[mode]);
       EmitCommon(json, ds, config);
-      json->Field("batch_cap", max_batch);
-      json->Field("min_jaccard", config.min_jaccard);
-      json->Field("tiered", mode == 2);
+      json->Field("tiered", tiered);
       EmitCacheShape(json, working_set_bytes, cache_options.max_bytes);
       json->Field("seconds", run.seconds);
       json->Field("throughput_rps", throughput[mode]);
       EmitLatency(json, metrics);
-      EmitBatching(json, metrics, cache_window);
-      if (mode == 2) {
+      EmitServing(json, metrics, cache_window);
+      if (tiered) {
         json->Field("prewarm_frac", config.prewarm_frac);
         json->Field("prewarm_rows", prewarm.rows_prewarmed);
         json->Field("prewarm_seconds", prewarm.seconds);
@@ -438,48 +409,32 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
     }
   }
 
-  const double speedup =
-      throughput[0] > 0 ? throughput[1] / throughput[0] : 0;
-  std::printf("batched vs one-task-per-view speedup: %.2fx\n", speedup);
-  if (json != nullptr) {
-    json->BeginObject();
-    json->Field("experiment", "batched_speedup");
-    EmitCommon(json, ds, config);
-    json->Field("batch_cap", config.batch_cap);
-    json->Field("baseline_rps", throughput[0]);
-    json->Field("batched_rps", throughput[1]);
-    json->Field("speedup", speedup);
-    json->EndObject();
-  }
-
   const double tiered_speedup =
-      throughput[1] > 0 ? throughput[2] / throughput[1] : 0;
-  std::printf(
-      "tiered vs flat batched speedup: %.2fx (hit rate %.1f%% -> %.1f%%)\n",
-      tiered_speedup, hit_rate[1] * 100.0, hit_rate[2] * 100.0);
+      throughput[0] > 0 ? throughput[1] / throughput[0] : 0;
+  std::printf("tiered vs flat speedup: %.2fx (hit rate %.1f%% -> %.1f%%)\n",
+              tiered_speedup, hit_rate[0] * 100.0, hit_rate[1] * 100.0);
   if (json != nullptr) {
     json->BeginObject();
     json->Field("experiment", "tiered_speedup");
     EmitCommon(json, ds, config);
     EmitCacheShape(json, working_set_bytes, cache_options.max_bytes);
-    json->Field("flat_rps", throughput[1]);
-    json->Field("tiered_rps", throughput[2]);
+    json->Field("flat_rps", throughput[0]);
+    json->Field("tiered_rps", throughput[1]);
     json->Field("speedup", tiered_speedup);
-    json->Field("flat_hit_rate", hit_rate[1]);
-    json->Field("tiered_hit_rate", hit_rate[2]);
+    json->Field("flat_hit_rate", hit_rate[0]);
+    json->Field("tiered_hit_rate", hit_rate[1]);
     json->EndObject();
   }
 
-  // Open-loop latency under partial load (batched mode): Poisson arrivals
-  // below saturation, so the percentiles reflect queueing + service
-  // rather than closed-loop pushback.
+  // Open-loop latency under partial load on the flat cache: Poisson
+  // arrivals below saturation, so the percentiles reflect queueing +
+  // service rather than closed-loop pushback.
   const double qps =
-      config.qps > 0 ? config.qps : std::max(1.0, throughput[1] * 0.6);
+      config.qps > 0 ? config.qps : std::max(1.0, throughput[0] * 0.6);
   {
     const RowCache::StatsSnapshot before = warm_cache->SnapshotCounters();
     TeamFormationServer server(ds.graph, ds.skills, &index, CompatKind::kSPM,
-                               warm_cache,
-                               MakeServerOptions(config, config.batch_cap));
+                               warm_cache, MakeServerOptions(config));
     Rng arrivals(config.seed + 1);
     WorkloadResult run = RunOpenLoop(&server, requests, qps, &arrivals);
     server.Shutdown();
@@ -496,9 +451,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
     if (json != nullptr) {
       json->BeginObject();
       json->Field("experiment", "open_loop");
-      json->Field("mode", "batched");
       EmitCommon(json, ds, config);
-      json->Field("batch_cap", config.batch_cap);
       json->Field("qps_target", qps);
       json->Field("submitted", run.submitted);
       json->Field("dropped", run.dropped);
@@ -508,7 +461,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
       json->Field("degraded", run.degraded);
       json->Field("seconds", run.seconds);
       EmitLatency(json, metrics);
-      EmitBatching(json, metrics, cache_window);
+      EmitServing(json, metrics, cache_window);
       json->EndObject();
     }
   }
@@ -533,7 +486,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
         config.deadline_ms > 0
             ? config.deadline_ms
             : std::max(5.0, 1000.0 * static_cast<double>(config.requests) /
-                                (4.0 * std::max(1.0, throughput[1])));
+                                (4.0 * std::max(1.0, throughput[0])));
     double loose_ms = 0;  // known-too-loose upper bound (0 = none yet)
     WorkloadResult run;
     ServerMetrics metrics;
@@ -543,7 +496,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
       for (TeamRequest& req : deadlined) {
         req.deadline_us = static_cast<uint64_t>(budget_ms * 1000.0);
       }
-      ServerOptions options = MakeServerOptions(config, config.batch_cap);
+      ServerOptions options = MakeServerOptions(config);
       options.deadline.shed = serve::ShedMode::kQueue;
       options.deadline.degrade = true;
       // 2% SLO headroom: estimates are EWMAs, and an EDF queue serves the
@@ -605,9 +558,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
     if (json != nullptr) {
       json->BeginObject();
       json->Field("experiment", "overload_deadline");
-      json->Field("mode", "batched");
       EmitCommon(json, ds, config);
-      json->Field("batch_cap", config.batch_cap);
       json->Field("deadline_ms", budget_ms);
       json->Field("shed_mode", "queue");
       json->Field("submitted", run.submitted);
@@ -620,13 +571,13 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
       json->Field("accepted_p99_ms", accepted_p99_ms);
       json->Field("p99_within_budget", accepted_p99_ms <= budget_ms);
       EmitLatency(json, metrics);
-      EmitBatching(json, metrics, cache_window);
+      EmitServing(json, metrics, cache_window);
       json->Field("identical", true);
       json->EndObject();
     }
   }
 
-  // Hit-rate-vs-budget curve: the same batched burst at 10/30/100% of the
+  // Hit-rate-vs-budget curve: the same burst at 10/30/100% of the
   // working set, flat vs tiered, each on a fresh cache warmed by one pass
   // over the touched rows (the tiered variants also start from an empty
   // spill store). This is the curve that shows *why* compression moves
@@ -657,7 +608,7 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
         const RowCache::StatsSnapshot before = cache->SnapshotCounters();
         TeamFormationServer server(ds.graph, ds.skills, &index,
                                    CompatKind::kSPM, cache,
-                                   MakeServerOptions(config, config.batch_cap));
+                                   MakeServerOptions(config));
         WorkloadResult run = RunBurst(&server, requests);
         server.Shutdown();
         const ServerMetrics metrics = server.Metrics();
@@ -674,14 +625,13 @@ int Run(const HarnessConfig& config, bench::JsonArrayWriter* json) {
         if (json != nullptr) {
           json->BeginObject();
           json->Field("experiment", "budget_sweep");
-          json->Field("mode", "batched");
           EmitCommon(json, ds, config);
           json->Field("tiered", tiered == 1);
           json->Field("budget_frac", frac);
           EmitCacheShape(json, working_set_bytes, sweep_options.max_bytes);
           json->Field("seconds", run.seconds);
           json->Field("throughput_rps", rps);
-          EmitBatching(json, metrics, cache_window);
+          EmitServing(json, metrics, cache_window);
           json->Field("identical", true);
           json->EndObject();
         }
@@ -705,13 +655,11 @@ int main(int argc, char** argv) {
   tfsn::HarnessConfig config;
   config.scale = flags.GetDouble("scale", quick ? 0.08 : 0.12);
   config.workers = static_cast<uint32_t>(flags.GetInt("workers", 2));
-  config.batch_cap = static_cast<uint32_t>(flags.GetInt("batch_cap", 16));
   config.requests =
       static_cast<uint32_t>(flags.GetInt("requests", quick ? 150 : 400));
   config.task_size = static_cast<uint32_t>(flags.GetInt("task_size", 3));
   config.zipf = flags.GetDouble("zipf", 1.0);
   config.max_seeds = static_cast<uint32_t>(flags.GetInt("max_seeds", 16));
-  config.min_jaccard = flags.GetDouble("min_jaccard", 0.05);
   config.qps = flags.GetDouble("qps", 0);
   config.cache_fraction = flags.GetDouble("cache_frac", 0.3);
   config.cache_mb = static_cast<size_t>(flags.GetInt("cache_mb", 0));

@@ -6,7 +6,7 @@
 //                    [--relation=spm] [--algorithm=lcmd|lcmc|random] [--topk=3]
 //                    [--shards=S] [--shard-strategy=hash|range]  (alias: form)
 //   tfsn_cli serve   --dataset=epinions --scale=0.08 --qps=50 --duration=5
-//                    [--workers=2] [--batch-cap=16] [--seed=1] [--replay]
+//                    [--workers=2] [--seed=1] [--replay]
 //                    [--compress=on] [--spill-dir=D] [--prewarm-frac=0.1]
 //                    [--deadline-ms=B] [--shed=off|admission|queue]
 //                    [--fault=point:schedule[,point:schedule...]]
@@ -87,7 +87,6 @@ int Usage() {
                "       [--qps=50]            open-loop arrival rate\n"
                "       [--duration=5]        seconds of offered load\n"
                "       [--workers=2]         worker pool size\n"
-               "       [--batch-cap=16]      max requests per shared view\n"
                "       [--seed=1]            workload seed\n"
                "       [--replay]            deterministic burst replay:\n"
                "                             prints a team digest two runs\n"
@@ -322,15 +321,11 @@ int CmdServe(const Flags& flags) {
   serve::ServerOptions options;
   options.workers =
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("workers", 2)));
-  options.batch.max_batch = std::max<uint32_t>(
-      1, static_cast<uint32_t>(flags.GetInt("batch_cap", 16)));
   options.greedy.max_seeds =
       static_cast<uint32_t>(flags.GetInt("max_seeds", 16));
   options.greedy.skill_policy = SkillPolicy::kLeastCompatible;
-  // The global --threads knob parallelizes row production inside each
-  // batch's StreamRows prewarm (0 = hardware concurrency / TFSN_THREADS,
-  // resolved here: the view build reads 0 as "no prewarm").
-  options.view_build_threads = ResolveThreads(threads);
+  // --threads sizes the index build and the --prewarm-frac pass; each
+  // served request runs one Form whose rows fill on first touch.
 
   // Overload-control knobs. --shed picks how far enforcement goes;
   // --deadline-ms stamps the SLO budget onto every generated request.
@@ -466,9 +461,9 @@ int CmdServe(const Flags& flags) {
               metrics.total_us.ValueAtQuantile(0.50) / 1000.0,
               metrics.total_us.ValueAtQuantile(0.95) / 1000.0,
               metrics.total_us.ValueAtQuantile(0.99) / 1000.0);
-  std::printf("batching  : %llu batches, mean size %.2f (cap %u)\n",
-              static_cast<unsigned long long>(metrics.batches),
-              metrics.MeanBatchSize(), options.batch.max_batch);
+  std::printf("views     : %llu on the dense view, %llu oracle fallback(s)\n",
+              static_cast<unsigned long long>(metrics.shared_view_batches),
+              static_cast<unsigned long long>(metrics.fallback_batches));
   std::printf("row cache : %.1f%% hit rate over %llu lookups\n",
               cache_window.HitRate() * 100.0,
               static_cast<unsigned long long>(cache_window.lookups()));

@@ -1,12 +1,13 @@
-// Bounded MPMC admission queue with backpressure and clean shutdown.
+// Bounded MPMC admission queue with backpressure, priority order and
+// clean shutdown.
 //
 // The serving layer's front door: producers (workload generators, the CLI,
-// eventually an RPC handler) push TeamRequests, consumers (the batching
-// scheduler on behalf of the worker pool) pop them. The queue is a plain
-// mutex + two condition variables over a ring-ish deque — at team-formation
-// request rates (each request costs milliseconds of formation work) the
-// lock is never the bottleneck, and the simple structure makes the
-// shutdown semantics easy to get right:
+// eventually an RPC handler) push TeamRequests, consumers (the worker
+// pool) pop them. The queue is a plain mutex + two condition variables
+// over a binary heap — at team-formation request rates (each request
+// costs milliseconds of formation work) the lock is never the
+// bottleneck, and the simple structure makes the shutdown semantics easy
+// to get right:
 //
 //   * Bounded: Push blocks while the queue is full (backpressure into the
 //     caller), TryPush refuses with ResourceExhausted instead — the
@@ -18,8 +19,12 @@
 //     consumers drain every item already admitted, then Pop returns
 //     false. Nothing admitted is ever lost — the server relies on this to
 //     fulfill every promise on shutdown.
-//   * FIFO: items pop in push order (per the total order of push
-//     completions under the lock).
+//   * Ordered: Pop returns the item that the `Before` comparator ranks
+//     first; push order (the total order of push completions under the
+//     lock) breaks ties. The default comparator ranks every item equal,
+//     so the default queue is FIFO. The server instantiates it with
+//     "earlier deadline first" (serve::EarlierDeadline), which serves
+//     deadline-free traffic — all tied at +infinity — in FIFO order.
 //
 // All member functions are safe to call from any number of threads. The
 // locking discipline is compile-time checked: items_/closed_ carry
@@ -29,8 +34,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -40,14 +46,18 @@
 
 namespace tfsn::serve {
 
-/// Outcome of an interruptible pop (see AdmissionQueue::PopOr).
-enum class PopStatus {
-  kItem,    // *out holds the popped item
-  kWakeup,  // no item, not closed — the caller's wakeup predicate fired
-  kClosed,  // closed and fully drained — no more items, ever
+/// The default AdmissionQueue order: no item outranks another, so push
+/// order alone decides (FIFO).
+struct PushOrder {
+  template <typename T>
+  bool operator()(const T&, const T&) const {
+    return false;
+  }
 };
 
-template <typename T>
+/// `Before(a, b)` is true when `a` must pop before `b` (a strict weak
+/// order).
+template <typename T, typename Before = PushOrder>
 class AdmissionQueue {
  public:
   /// `capacity` must be >= 1.
@@ -63,7 +73,7 @@ class AdmissionQueue {
     MutexLock lock(&mu_);
     while (!closed_ && items_.size() >= capacity_) not_full_.Wait(&mu_);
     if (closed_) return Status::Unavailable("admission queue closed");
-    items_.push_back(std::move(item));
+    PushLocked(std::move(item));
     lock.Unlock();
     not_empty_.NotifyOne();
     return Status::OK();
@@ -78,7 +88,7 @@ class AdmissionQueue {
       if (items_.size() >= capacity_) {
         return Status::ResourceExhausted("admission queue full");
       }
-      items_.push_back(std::move(*item));
+      PushLocked(std::move(*item));
     }
     not_empty_.NotifyOne();
     return Status::OK();
@@ -90,67 +100,21 @@ class AdmissionQueue {
     MutexLock lock(&mu_);
     while (!closed_ && items_.empty()) not_empty_.Wait(&mu_);
     if (items_.empty()) return false;  // closed and drained
-    *out = std::move(items_.front());
-    items_.pop_front();
+    PopLocked(out);
     lock.Unlock();
     not_full_.NotifyOne();
     return true;
   }
-
-  /// Interruptible pop: blocks until an item arrives, the queue closes,
-  /// or the caller's `wakeup` predicate turns true (kWakeup). `wakeup` is
-  /// evaluated under the queue lock, so it must be cheap and lock-free
-  /// (e.g. an atomic load); pair it with Kick() from whichever thread
-  /// makes the predicate true. The batching scheduler waits this way so
-  /// an idle consumer sleeps fully (no polling) yet still wakes when a
-  /// sibling worker parks rejected requests in the pending window —
-  /// work that exists outside the queue and cannot signal not_empty_.
-  /// An available item always wins over both other outcomes.
-  template <typename Pred>
-  PopStatus PopOr(T* out, Pred&& wakeup) TFSN_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    while (!closed_ && items_.empty() && !wakeup()) not_empty_.Wait(&mu_);
-    if (!items_.empty()) {
-      *out = std::move(items_.front());
-      items_.pop_front();
-      lock.Unlock();
-      not_full_.NotifyOne();
-      return PopStatus::kItem;
-    }
-    return closed_ ? PopStatus::kClosed : PopStatus::kWakeup;
-  }
-
-  /// Wakes every PopOr waiter so it re-evaluates its wakeup predicate.
-  void Kick() { not_empty_.NotifyAll(); }
 
   /// Non-blocking pop; false when currently empty (closed or not).
   bool TryPop(T* out) TFSN_EXCLUDES(mu_) {
     {
       MutexLock lock(&mu_);
       if (items_.empty()) return false;
-      *out = std::move(items_.front());
-      items_.pop_front();
+      PopLocked(out);
     }
     not_full_.NotifyAll();
     return true;
-  }
-
-  /// Appends up to `max_items` immediately-available items to `out`
-  /// without blocking; returns how many were taken. The batching
-  /// scheduler uses this to widen its grouping window beyond the single
-  /// blocking Pop that woke it.
-  size_t DrainInto(std::vector<T>* out, size_t max_items) TFSN_EXCLUDES(mu_) {
-    size_t taken = 0;
-    {
-      MutexLock lock(&mu_);
-      while (taken < max_items && !items_.empty()) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++taken;
-      }
-    }
-    if (taken > 0) not_full_.NotifyAll();
-    return taken;
   }
 
   /// Closes admission: subsequent and blocked pushes fail, pops drain the
@@ -177,11 +141,39 @@ class AdmissionQueue {
   }
 
  private:
+  /// An item with its push sequence number, the tie-break.
+  struct Slot {
+    uint64_t seq;
+    T item;
+  };
+
+  /// Heap order: true when `a` pops after `b` (std heaps keep the
+  /// greatest element on top).
+  struct PopsLater {
+    bool operator()(const Slot& a, const Slot& b) const {
+      if (Before{}(a.item, b.item)) return false;
+      if (Before{}(b.item, a.item)) return true;
+      return a.seq > b.seq;
+    }
+  };
+
+  void PushLocked(T item) TFSN_REQUIRES(mu_) {
+    items_.push_back(Slot{next_seq_++, std::move(item)});
+    std::push_heap(items_.begin(), items_.end(), PopsLater{});
+  }
+
+  void PopLocked(T* out) TFSN_REQUIRES(mu_) {
+    std::pop_heap(items_.begin(), items_.end(), PopsLater{});
+    *out = std::move(items_.back().item);
+    items_.pop_back();
+  }
+
   const size_t capacity_;
   mutable Mutex mu_;
   CondVar not_full_;
   CondVar not_empty_;
-  std::deque<T> items_ TFSN_GUARDED_BY(mu_);
+  std::vector<Slot> items_ TFSN_GUARDED_BY(mu_);
+  uint64_t next_seq_ TFSN_GUARDED_BY(mu_) = 0;
   bool closed_ TFSN_GUARDED_BY(mu_) = false;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/team/task_view.h"
-#include "src/util/fault_injection.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -41,26 +40,21 @@ TeamFormationServer::TeamFormationServer(const SignedGraph& graph,
     : skills_(skills),
       options_(options),
       cache_(std::move(cache)),
-      queue_(options.queue_capacity),
-      scheduler_(skills, kind == CompatKind::kSBPH, options.batch,
-                 options.deadline) {
+      queue_(options.queue_capacity) {
   TFSN_CHECK(cache_ != nullptr);
   options_.workers = std::max<uint32_t>(1, options_.workers);
   // The worker pool is the parallelism; nested seed threads would
-  // oversubscribe. Results are identical for every setting.
+  // oversubscribe. A prefetch would compute every holder's row where the
+  // seed loop reads only some of them. Results are identical for every
+  // setting.
   options_.greedy.seed_threads = 1;
+  options_.greedy.prefetch_threads = 0;
   workers_.reserve(options_.workers);
   for (uint32_t w = 0; w < options_.workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->oracle = MakeOracle(graph, kind, OracleParams{}, cache_);
     worker->former = std::make_unique<GreedyTeamFormer>(
         worker->oracle.get(), skills_, index, options_.greedy);
-    {
-      // The worker thread does not exist yet; the lock is for the
-      // analysis (batch_size_counts is guarded by worker->mu).
-      MutexLock lock(&worker->mu);
-      worker->batch_size_counts.assign(options_.batch.max_batch + 1, 0);
-    }
     workers_.push_back(std::move(worker));
   }
   for (auto& worker : workers_) {
@@ -77,7 +71,6 @@ ScheduledRequest TeamFormationServer::MakeScheduled(TeamRequest request) {
   if (request.deadline_us != 0) {
     sr.deadline = sr.admitted + std::chrono::microseconds(request.deadline_us);
   }
-  sr.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   sr.request = std::move(request);
   return sr;
 }
@@ -133,24 +126,51 @@ void TeamFormationServer::Shutdown() {
       if (worker->thread.joinable()) worker->thread.join();
     }
     // Safety net: workers normally drain everything before exiting, so
-    // both sweeps below are empty — but a request admitted in the races
-    // around Close, or left behind by a worker that died mid-fault, must
-    // not leave its future blocking forever. Fulfill whatever is still
+    // this sweep is empty — but a request admitted in the races around
+    // Close, or left behind by a worker that died mid-fault, must not
+    // leave its future blocking forever. Fulfill whatever is still
     // admitted with a typed shutdown response.
     ScheduledRequest sr;
     while (queue_.TryPop(&sr)) {
       FulfillError(&sr, Status::Unavailable("server shut down before serving"));
     }
-    std::vector<ScheduledRequest> leftover;
-    scheduler_.TakePending(&leftover);
-    for (ScheduledRequest& s : leftover) {
-      FulfillError(&s, Status::Unavailable("server shut down before serving"));
-    }
   });
 }
 
-void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
-                                        uint32_t batch_size) {
+void TeamFormationServer::Shed(Worker* worker, ScheduledRequest* sr,
+                               const char* why) {
+  {
+    MutexLock lock(&worker->mu);
+    ++worker->shed;
+  }
+  FulfillError(sr, Status::DeadlineExceeded(why));
+}
+
+void TeamFormationServer::ServeFull(Worker* worker, ScheduledRequest* sr) {
+  const auto service_start = std::chrono::steady_clock::now();
+  const uint64_t fallbacks = worker->former->oracle_fallbacks();
+  Rng rng(sr->request.rng_seed);
+  TeamResponse resp;
+  resp.id = sr->request.id;
+  resp.result = worker->former->Form(sr->request.task, &rng);
+  const bool fell_back = worker->former->oracle_fallbacks() != fallbacks;
+  resp.used_view =
+      options_.greedy.eval_path == GreedyEvalPath::kView && !fell_back;
+  const auto done = std::chrono::steady_clock::now();
+  resp.queue_us = MicrosBetween(sr->admitted, service_start);
+  resp.service_us = MicrosBetween(service_start, done);
+  resp.total_us = MicrosBetween(sr->admitted, done);
+  UpdateEwma(&service_ewma_us_, resp.service_us);
+  {
+    MutexLock lock(&worker->mu);
+    ++worker->batches;
+    if (resp.used_view) ++worker->shared_view_batches;
+    if (fell_back) ++worker->fallback_batches;
+  }
+  FinishServed(worker, sr, std::move(resp));
+}
+
+void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr) {
   const auto service_start = std::chrono::steady_clock::now();
   // Even the cheapest tier costs something. Triage only checked that the
   // deadline had not yet passed; if the remaining budget cannot fund a
@@ -160,66 +180,38 @@ void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
   if (service_start >= sr->deadline ||
       MicrosBetween(service_start, sr->deadline) <
           DegradedEstimateUs() + options_.deadline.slack_us) {
-    {
-      MutexLock lock(&worker->mu);
-      ++worker->shed;
-    }
-    FulfillError(
-        sr, Status::DeadlineExceeded("deadline cannot be met by any tier"));
+    Shed(worker, sr, "deadline cannot be met by any tier");
+    return;
+  }
+  auto view = TaskCompatView::BuildFromCachedRows(
+      worker->oracle.get(), skills_, sr->request.task,
+      HolderUniverse(skills_, sr->request.task.skills()),
+      options_.greedy.view_max_bytes);
+  if (view == nullptr) {
+    Shed(worker, sr, "deadline cannot be met by any tier");
+    return;
+  }
+  Rng rng(sr->request.rng_seed);
+  TeamResult result =
+      worker->former->FormWithView(*view, sr->request.task, &rng);
+  // With no missed row, every row the formation read was real, so the
+  // outcome — even a "no team exists" verdict — is the exact answer.
+  // Otherwise it only counts when it actually found a team: a miss may
+  // just mean the missing rows held the answer.
+  const bool exact = view->missed_rows() == 0;
+  if (!exact && !result.found) {
+    Shed(worker, sr, "deadline cannot be met by any tier");
     return;
   }
   TeamResponse resp;
   resp.id = sr->request.id;
-  resp.batch_size = batch_size;
-  resp.used_shared_view = false;
-  bool served = false;
-  auto view = TaskCompatView::BuildFromCachedRows(
-      worker->oracle.get(), skills_, sr->request.task,
-      HolderUniverse(skills_, sr->request.task.skills()),
-      options_.batch.max_view_bytes);
-  if (view != nullptr) {
-    Rng rng(sr->request.rng_seed);
-    TeamResult result =
-        worker->former->FormWithView(*view, sr->request.task, &rng);
-    // With no missed row, every row the formation read was real, so the
-    // outcome — even a "no team exists" verdict — is the exact answer.
-    // Otherwise it only counts when it actually found a team: a miss may
-    // just mean the missing rows held the answer.
-    const bool exact = view->missed_rows() == 0;
-    if (exact || result.found) {
-      resp.result = std::move(result);
-      resp.degraded = !exact;
-      served = true;
-    }
-  }
-  if (!served) {
-    // Cache-only could not answer. Fund an exact standalone Form if the
-    // remaining budget still covers one; otherwise no tier can meet the
-    // deadline.
-    const auto now = std::chrono::steady_clock::now();
-    if (sr->deadline > now &&
-        MicrosBetween(now, sr->deadline) >=
-            ServiceEstimateUs() + options_.deadline.slack_us) {
-      Rng rng(sr->request.rng_seed);
-      resp.result = worker->former->Form(sr->request.task, &rng);
-      resp.degraded = false;
-      served = true;
-    }
-  }
-  if (!served) {
-    {
-      MutexLock lock(&worker->mu);
-      ++worker->shed;
-    }
-    FulfillError(
-        sr, Status::DeadlineExceeded("deadline cannot be met by any tier"));
-    return;
-  }
+  resp.result = std::move(result);
+  resp.degraded = !exact;
   const auto done = std::chrono::steady_clock::now();
   resp.queue_us = MicrosBetween(sr->admitted, service_start);
   resp.service_us = MicrosBetween(service_start, done);
   resp.total_us = MicrosBetween(sr->admitted, done);
-  // Realized ladder cost (whichever tier answered) feeds the gate above.
+  // Realized ladder cost feeds the gate above.
   UpdateEwma(&degraded_ewma_us_, resp.service_us);
   FinishServed(worker, sr, std::move(resp));
 }
@@ -243,128 +235,33 @@ void TeamFormationServer::FinishServed(Worker* worker, ScheduledRequest* sr,
 }
 
 void TeamFormationServer::WorkerLoop(Worker* worker) {
-  RequestBatch batch;
-  while (scheduler_.NextBatch(&queue_, &batch)) {
-    const uint32_t batch_size = static_cast<uint32_t>(batch.items.size());
-
-    // Overload triage: under ShedMode::kQueue, a member whose deadline
-    // already passed is shed here (the scheduler sweeps the queue, but a
-    // deadline can expire between batch formation and service), and one
-    // whose remaining budget cannot fund the shared build plus its own
-    // formation drops to the degradation ladder. Everyone else takes the
-    // full exact path below.
-    std::vector<ScheduledRequest*> full;
-    full.reserve(batch.items.size());
-    const bool enforce = options_.deadline.shed >= ShedMode::kQueue;
-    const uint64_t est_full =
-        enforce ? BuildEstimateUs() + ServiceEstimateUs() +
-                      options_.deadline.slack_us
-                : 0;
-    for (ScheduledRequest& sr : batch.items) {
-      if (!enforce ||
-          sr.deadline == std::chrono::steady_clock::time_point::max()) {
-        full.push_back(&sr);
-        continue;
-      }
+  const bool enforce = options_.deadline.shed >= ShedMode::kQueue;
+  ScheduledRequest sr;
+  while (queue_.Pop(&sr)) {
+    // Overload triage under ShedMode::kQueue: a request whose deadline
+    // already passed is shed, and one whose remaining budget cannot fund
+    // a Form drops to the degradation ladder. Everyone else takes the
+    // full exact path.
+    if (enforce &&
+        sr.deadline != std::chrono::steady_clock::time_point::max()) {
       const auto now = std::chrono::steady_clock::now();
       if (sr.deadline <= now) {
-        {
-          MutexLock lock(&worker->mu);
-          ++worker->shed;
-        }
-        FulfillError(&sr, Status::DeadlineExceeded(
-                              "deadline expired before service"));
+        Shed(worker, &sr, "deadline expired before service");
         continue;
       }
       if (options_.deadline.degrade &&
-          MicrosBetween(now, sr.deadline) < est_full) {
-        ServeDegraded(worker, &sr, batch_size);
+          MicrosBetween(now, sr.deadline) <
+              ServiceEstimateUs() + options_.deadline.slack_us) {
+        ServeDegraded(worker, &sr);
         continue;
       }
-      full.push_back(&sr);
     }
-
-    // One shared view (and one StreamRows cache prewarm of the union
-    // holder universe) serves the whole group. nullptr — union over the
-    // byte budget — falls back to standalone Form per request, which is
-    // bit-identical.
-    std::unique_ptr<TaskCompatView> view;
-    if (!full.empty() && !batch.union_task.empty()) {
-      const auto build_start = std::chrono::steady_clock::now();
-      view = TaskCompatView::BuildFromUniverse(
-          worker->oracle.get(), skills_, batch.union_task,
-          std::move(batch.universe), options_.view_build_threads,
-          options_.batch.max_view_bytes);
-      if (view != nullptr) {
-        UpdateEwma(&build_ewma_us_,
-                   MicrosBetween(build_start,
-                                 std::chrono::steady_clock::now()));
-      }
-    }
-    // Injected view loss after a successful build: every member silently
-    // takes the standalone path, which must stay bit-identical.
-    if (view != nullptr && TFSN_FAULT_POINT("serve.shared_view_drop")) {
-      view.reset();
-    }
-    for (ScheduledRequest* sr : full) {
-      const auto service_start = std::chrono::steady_clock::now();
-      // Post-build re-triage: the shared build above runs on cold-start
-      // estimates (the EWMAs start at zero), so early batches can burn
-      // far more budget than triage predicted. A member whose deadline
-      // passed during the build — or whose remainder no longer funds its
-      // own formation — drops to the ladder now instead of being served
-      // knowingly late.
-      if (enforce &&
-          sr->deadline != std::chrono::steady_clock::time_point::max()) {
-        if (sr->deadline <= service_start) {
-          {
-            MutexLock lock(&worker->mu);
-            ++worker->shed;
-          }
-          FulfillError(sr, Status::DeadlineExceeded(
-                               "deadline expired during the view build"));
-          continue;
-        }
-        if (options_.deadline.degrade &&
-            MicrosBetween(service_start, sr->deadline) <
-                ServiceEstimateUs() + options_.deadline.slack_us) {
-          ServeDegraded(worker, sr, batch_size);
-          continue;
-        }
-      }
-      Rng rng(sr->request.rng_seed);
-      TeamResponse resp;
-      resp.id = sr->request.id;
-      resp.batch_size = batch_size;
-      resp.used_shared_view = view != nullptr;
-      resp.result = view != nullptr
-                        ? worker->former->FormWithView(*view, sr->request.task,
-                                                       &rng)
-                        : worker->former->Form(sr->request.task, &rng);
-      const auto done = std::chrono::steady_clock::now();
-      resp.queue_us = MicrosBetween(sr->admitted, service_start);
-      resp.service_us = MicrosBetween(service_start, done);
-      resp.total_us = MicrosBetween(sr->admitted, done);
-      UpdateEwma(&service_ewma_us_, resp.service_us);
-      FinishServed(worker, sr, std::move(resp));
-    }
-    {
-      MutexLock lock(&worker->mu);
-      ++worker->batches;
-      if (view != nullptr) {
-        ++worker->shared_view_batches;
-      } else {
-        ++worker->fallback_batches;
-      }
-      ++worker->batch_size_counts[std::min<size_t>(
-          batch_size, worker->batch_size_counts.size() - 1)];
-    }
+    ServeFull(worker, &sr);
   }
 }
 
 ServerMetrics TeamFormationServer::Metrics() const {
   ServerMetrics m;
-  m.batch_size_counts.assign(options_.batch.max_batch + 1, 0);
   for (const auto& worker : workers_) {
     MutexLock lock(&worker->mu);
     m.completed += worker->completed;
@@ -376,11 +273,7 @@ ServerMetrics TeamFormationServer::Metrics() const {
     m.queue_us.Merge(worker->queue_us);
     m.service_us.Merge(worker->service_us);
     m.total_us.Merge(worker->total_us);
-    for (size_t b = 0; b < worker->batch_size_counts.size(); ++b) {
-      m.batch_size_counts[b] += worker->batch_size_counts[b];
-    }
   }
-  m.shed += scheduler_.shed_count();
   m.cache = cache_->SnapshotCounters();
   return m;
 }
@@ -393,13 +286,6 @@ uint64_t TeamFormationServer::QueueWaitEstimateUs() const {
   return queue_hist_.count() == 0 ? 0 : queue_hist_.ValueAtQuantile(0.5);
 }
 
-uint64_t TeamFormationServer::BuildEstimateUs() const {
-  if (options_.deadline.assume_build_us != 0) {
-    return options_.deadline.assume_build_us;
-  }
-  return build_ewma_us_.load(std::memory_order_relaxed);
-}
-
 uint64_t TeamFormationServer::ServiceEstimateUs() const {
   if (options_.deadline.assume_service_us != 0) {
     return options_.deadline.assume_service_us;
@@ -410,7 +296,7 @@ uint64_t TeamFormationServer::ServiceEstimateUs() const {
 uint64_t TeamFormationServer::DegradedEstimateUs() const {
   // No assume_* override: the ladder gate starts optimistic (0 — serve
   // and see) and adapts to the realized degraded-tier cost. Tests pin the
-  // *entry* to the ladder via assume_build/assume_service instead.
+  // *entry* to the ladder via assume_service_us instead.
   return degraded_ewma_us_.load(std::memory_order_relaxed);
 }
 

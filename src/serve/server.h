@@ -5,36 +5,36 @@
 //            (typed admission: queue-full / shutting-down /
 //             deadline-infeasible, with retry-after hints)
 //                        │
-//             AdmissionQueue (bounded, backpressure)
+//     AdmissionQueue<ScheduledRequest, EarlierDeadline>
+//          (bounded, backpressure, earliest deadline first;
+//           deadline-free traffic ties and serves FIFO)
 //                        │
-//               BatchScheduler.NextBatch
-//          (skill-footprint Jaccard grouping, EDF-anchored;
-//           sheds requests whose deadline expired in queue)
-//                        │
-//        worker pool — per batch, each worker:
-//          1. sheds/degrades deadline-pressed members (see below),
-//          2. builds ONE TaskCompatView for the batch's union task
-//             (one StreamRows prewarm of the union holder universe),
-//          3. runs GreedyTeamFormer::FormWithView per member request,
-//          4. fulfills the promises and records latency.
+//        worker pool — per request, each worker:
+//          1. sheds it if its deadline already passed, or sends it down
+//             the degradation ladder if the remaining budget cannot
+//             fund a Form (see below),
+//          2. otherwise runs GreedyTeamFormer::Form on it — one lazy
+//             task view whose rows are computed (or read from the shared
+//             cache) on first touch,
+//          3. fulfills the promise and records latency.
 //
-// Teams served through the full path are bit-identical to calling
-// GreedyTeamFormer::Form directly with the same GreedyParams and
-// per-request Rng(rng_seed) — batching changes only where the work
-// happens, never the answer — so results are reproducible across worker
-// counts, batch caps, and arrival orders.
+// Teams served through the full path are exactly what
+// GreedyTeamFormer::Form returns with the same GreedyParams and
+// per-request Rng(rng_seed), so results are reproducible across worker
+// counts and arrival orders.
 //
 // Overload control (ServerOptions::deadline): requests may carry an SLO
 // budget (TeamRequest::deadline_us). Under ShedMode::kQueue the server
 // keeps accepted-request latency inside that budget by shedding — typed
-// DeadlineExceeded responses, never dropped promises — at three points:
+// DeadlineExceeded responses, never dropped promises — at two points:
 // admission (infeasible deadlines, judged against the live queue-latency
-// histogram), the scheduler (expired in queue), and the worker (expired
-// by service time). A member whose remaining budget cannot fund the full
-// view build degrades instead of missing its deadline:
+// histogram) and the worker (expired before service; EDF order puts
+// expired requests at the head of the queue, so each costs one promise
+// fulfilment). A request whose remaining budget cannot fund a Form
+// degrades instead of missing its deadline:
 //
-//   full dense view  →  cache-only view  →  standalone Form  →  reject
-//        (exact)       (degraded if a row      (exact)       (DeadlineExceeded)
+//      full Form     →  cache-only view  →  reject
+//       (exact)        (degraded if a row    (DeadlineExceeded)
 //                       it read was missing)
 //
 // Degraded responses carry TeamResponse::degraded = true and are the only
@@ -71,7 +71,6 @@
 #include "src/compat/skill_index.h"
 #include "src/graph/signed_graph.h"
 #include "src/serve/admission_queue.h"
-#include "src/serve/batcher.h"
 #include "src/serve/types.h"
 #include "src/skills/skills.h"
 #include "src/team/greedy.h"
@@ -81,21 +80,21 @@
 namespace tfsn::serve {
 
 struct ServerOptions {
-  /// Worker threads (>= 1). Each serves whole batches end to end.
+  /// Worker threads (>= 1). Each serves one request at a time, end to end.
   uint32_t workers = 1;
   /// Admission queue capacity (backpressure bound).
   size_t queue_capacity = 1024;
-  /// Batching policy; max_batch = 1 is the one-task-per-view baseline.
-  BatchPolicy batch;
   /// Deadline/overload policy (see types.h). Only requests that carry a
   /// deadline are ever affected, whatever the mode.
   DeadlinePolicy deadline;
   /// Greedy configuration every worker's former runs with. seed_threads
   /// is forced to 1 — the worker pool is the parallelism; nested seed
-  /// threads would oversubscribe (results are identical either way).
+  /// threads would oversubscribe — and prefetch_threads to 0, so a Form
+  /// computes only the rows its seed loop reads. Results are identical
+  /// either way.
   GreedyParams greedy;
-  /// Workers for the per-batch StreamRows prewarm inside the view build
-  /// (0 = no prewarm: rows load on first touch).
+  /// Ignored: every Form fills its view rows on first touch. Kept so
+  /// existing callers that set it still build.
   uint32_t view_build_threads = 1;
 };
 
@@ -104,13 +103,17 @@ struct ServerOptions {
 /// in `shed`, not in the latency distributions.
 struct ServerMetrics {
   uint64_t completed = 0;
+  /// Full-path formations (one Form per request that was not shed or
+  /// degraded). The field names predate per-request serving and are kept
+  /// for existing readers.
   uint64_t batches = 0;
-  /// Batches served through a shared union view / through the standalone
-  /// fallback (union view over its byte budget, or an injected fault).
+  /// Full-path formations that ran on the dense task view / that fell
+  /// back to the oracle loop (view over its byte budget, or an injected
+  /// build failure; GreedyTeamFormer::oracle_fallbacks()).
   uint64_t shared_view_batches = 0;
   uint64_t fallback_batches = 0;
-  /// Requests fulfilled with DeadlineExceeded (expired in queue or at the
-  /// worker, or unfundable by any tier).
+  /// Requests fulfilled with DeadlineExceeded (expired before service, or
+  /// unfundable by any tier).
   uint64_t shed = 0;
   /// Requests served from a cache-only view that missed a row
   /// (degraded=true).
@@ -118,25 +121,16 @@ struct ServerMetrics {
   LatencyHistogram queue_us;
   LatencyHistogram service_us;
   LatencyHistogram total_us;
-  /// batch_size_counts[b] = batches that grouped exactly b requests
-  /// (index 0 unused).
-  std::vector<uint64_t> batch_size_counts;
   /// Row-cache counters at snapshot time (monotonic; subtract two
   /// snapshots for a window).
   RowCache::StatsSnapshot cache;
-
-  double MeanBatchSize() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(completed) /
-                              static_cast<double>(batches);
-  }
 };
 
 class TeamFormationServer {
  public:
   /// Workers start immediately. All referees must outlive the server;
   /// `index` is required when greedy.skill_policy == kLeastCompatible.
-  /// `cache` must be non-null (it is the state batching amortizes).
+  /// `cache` must be non-null (it is the row state every worker shares).
   TeamFormationServer(const SignedGraph& graph, const SkillAssignment& skills,
                       const SkillCompatibilityIndex* index, CompatKind kind,
                       std::shared_ptr<RowCache> cache, ServerOptions options);
@@ -171,7 +165,7 @@ class TeamFormationServer {
   ServerMetrics Metrics() const;
 
   const ServerOptions& options() const { return options_; }
-  /// Requests admitted but not yet picked up by the scheduler.
+  /// Requests admitted but not yet picked up by a worker.
   size_t queue_depth() const { return queue_.size(); }
 
  private:
@@ -192,19 +186,21 @@ class TeamFormationServer {
     LatencyHistogram queue_us TFSN_GUARDED_BY(mu);
     LatencyHistogram service_us TFSN_GUARDED_BY(mu);
     LatencyHistogram total_us TFSN_GUARDED_BY(mu);
-    std::vector<uint64_t> batch_size_counts TFSN_GUARDED_BY(mu);
   };
 
   void WorkerLoop(Worker* worker);
+  /// Serves one request through the full path: GreedyTeamFormer::Form.
+  void ServeFull(Worker* worker, ScheduledRequest* sr);
   /// Serves one deadline-pressed request through the degradation ladder
-  /// (cache-only view → standalone Form → DeadlineExceeded).
-  void ServeDegraded(Worker* worker, ScheduledRequest* sr,
-                     uint32_t batch_size);
+  /// (cache-only view → DeadlineExceeded).
+  void ServeDegraded(Worker* worker, ScheduledRequest* sr);
+  /// Fulfills `sr` with DeadlineExceeded and counts the shed.
+  void Shed(Worker* worker, ScheduledRequest* sr, const char* why);
   /// Records a served response into the worker's metrics and the shared
   /// queue-latency histogram, then fulfills the promise.
   void FinishServed(Worker* worker, ScheduledRequest* sr, TeamResponse resp);
 
-  /// Stamps admission metadata (timestamp, absolute deadline, EDF seq).
+  /// Stamps admission metadata (timestamp, absolute deadline).
   ScheduledRequest MakeScheduled(TeamRequest request);
   /// DeadlineExceeded when the request cannot meet its deadline even if
   /// admitted now (ShedMode::kAdmission and up); OK otherwise.
@@ -212,9 +208,8 @@ class TeamFormationServer {
 
   /// Live estimators (µs), each overridable via DeadlinePolicy for
   /// deterministic tests: median queue wait from the shared histogram,
-  /// and EWMA view-build / per-request service costs from the workers.
+  /// and the EWMA per-request Form cost from the workers.
   uint64_t QueueWaitEstimateUs() const TFSN_EXCLUDES(lat_mu_);
-  uint64_t BuildEstimateUs() const;
   uint64_t ServiceEstimateUs() const;
   /// EWMA cost of a degraded-ladder serve; gates entry to the ladder so
   /// even the cheapest tier never knowingly answers past the deadline.
@@ -224,19 +219,15 @@ class TeamFormationServer {
   const SkillAssignment& skills_;
   ServerOptions options_;
   std::shared_ptr<RowCache> cache_;
-  AdmissionQueue<ScheduledRequest> queue_;
-  BatchScheduler scheduler_;
+  AdmissionQueue<ScheduledRequest, EarlierDeadline> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::once_flag shutdown_once_;
 
-  /// Admission sequence for EDF tie-breaks (relaxed: a pure counter).
-  std::atomic<uint64_t> seq_{0};
-  /// Lock-free ordering contract: integer EWMAs (α = 1/8) of the shared
-  /// view build cost and the per-request full-path service cost, in µs.
-  /// Plain load/store with relaxed order — concurrent workers may lose an
+  /// Lock-free ordering contract: integer EWMAs (α = 1/8) of the
+  /// per-request full-path and degraded-tier service costs, in µs. Plain
+  /// load/store with relaxed order — concurrent workers may lose an
   /// update, which only perturbs an estimate; no data is published
   /// through them.
-  std::atomic<uint64_t> build_ewma_us_{0};
   std::atomic<uint64_t> service_ewma_us_{0};
   std::atomic<uint64_t> degraded_ewma_us_{0};
   /// Live queue-latency histogram feeding admission-control estimates and

@@ -1,14 +1,14 @@
 // Request/response types of the team-formation serving layer.
 //
 // A TeamRequest is one "form a team for these skills" query as it travels
-// from admission through the batching scheduler to a worker; the
+// from admission through the deadline-ordered queue to a worker; the
 // TeamResponse carries the formed team back together with the request's
-// latency breakdown and how much batching it benefited from.
+// latency breakdown and the path that served it.
 //
 // Determinism contract: a response's team depends only on (task, rng_seed)
-// and the server's greedy configuration — never on arrival order, batch
-// composition, worker count, or queue depth (see
-// GreedyTeamFormer::FormWithView). Replaying a request stream with the
+// and the server's greedy configuration — never on arrival order, worker
+// count, or queue depth (each request runs GreedyTeamFormer::Form on its
+// own task view). Replaying a request stream with the
 // same seeds therefore reproduces every team bit for bit. Responses
 // flagged `degraded` are the one exception: they were served from a
 // cache-only view that missed a row under deadline pressure (see
@@ -45,23 +45,22 @@ enum class ShedMode : uint8_t {
   /// a retry-after hint); everything admitted is served exactly.
   kAdmission = 1,
   /// Additionally shed requests whose deadline expired in queue and let
-  /// workers degrade to cheaper serving tiers when the remaining budget
-  /// cannot fund the full dense-view path.
+  /// workers degrade to the cache-only tier when the remaining budget
+  /// cannot fund a full Form.
   kQueue = 2,
 };
 
 /// Deadline/overload policy of a server (ServerOptions::deadline).
 struct DeadlinePolicy {
   ShedMode shed = ShedMode::kQueue;
-  /// Allow the cache-only / standalone-Form degradation ladder under
-  /// kQueue; off means a request either gets the full path or is shed.
+  /// Allow the cache-only degradation tier under kQueue; off means a
+  /// request either gets the full path or is shed.
   bool degrade = true;
   /// Test overrides for the live estimators (0 = use the measured
-  /// values): assumed queue wait, shared-view build cost, and per-request
-  /// service cost, in µs. With these set, admission and degradation
-  /// decisions are fully deterministic.
+  /// values): assumed queue wait and per-request Form cost, in µs. With
+  /// these set, admission and degradation decisions are fully
+  /// deterministic.
   uint64_t assume_queue_us = 0;
-  uint64_t assume_build_us = 0;
   uint64_t assume_service_us = 0;
   /// SLO headroom, in µs: every serving gate requires the remaining
   /// budget to cover its cost estimate *plus* this slack before it
@@ -96,18 +95,16 @@ struct TeamResponse {
   /// True when the team came from a degraded tier (a cache-only view that
   /// missed a row): valid — every member pair was confirmed compatible —
   /// but not necessarily the team the exact path would have formed. Exact
-  /// responses (full view, standalone Form, or a cache-only view with no
-  /// missed row) never set this.
+  /// responses (full Form, or a cache-only view with no missed row) never
+  /// set this.
   bool degraded = false;
-  /// Requests that shared this request's batch (1 = served alone).
-  uint32_t batch_size = 0;
-  /// True when the batch's shared dense view served this request; false
-  /// when the build fell back and the former ran standalone.
-  bool used_shared_view = false;
+  /// True when a full Form served this request on its dense task view;
+  /// false when Form fell back to the oracle loop (view over its byte
+  /// budget, or an injected build failure) and for the cache-only tier.
+  bool used_view = false;
   /// Time from admission to the start of this request's formation, µs.
   uint64_t queue_us = 0;
-  /// This request's own formation time, µs (the shared view build is not
-  /// attributed to individual requests).
+  /// This request's formation time (view build included), µs.
   uint64_t service_us = 0;
   /// Admission-to-completion time, µs.
   uint64_t total_us = 0;
@@ -124,9 +121,16 @@ struct ScheduledRequest {
   /// the request carries none — infinitely patient under EDF ordering.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Admission sequence number: the EDF tie-break, so requests with equal
-  /// deadlines (in particular, all deadline-free requests) serve FIFO.
-  uint64_t seq = 0;
+};
+
+/// The server's AdmissionQueue order: earliest deadline first. Equal
+/// deadlines (in particular, all deadline-free requests) tie, and the
+/// queue breaks ties by push order, so they serve FIFO.
+struct EarlierDeadline {
+  bool operator()(const ScheduledRequest& a,
+                  const ScheduledRequest& b) const {
+    return a.deadline < b.deadline;
+  }
 };
 
 /// Fulfills `sr`'s promise with an empty, non-OK response (shed or

@@ -1,10 +1,9 @@
 // Workload generation for the serving layer.
 //
 // Tasks are sampled with Zipf-distributed skill popularity — the same
-// heavy-tailed regime the paper's datasets exhibit and the regime the
-// batching scheduler is built for: hot skills recur across nearby
-// requests, so their holder universes overlap and one union view serves
-// many requests. Two load shapes drive the server:
+// heavy-tailed regime the paper's datasets exhibit: hot skills recur
+// across nearby requests, so their rows are reused through the shared
+// row cache. Two load shapes drive the server:
 //
 //   * Open loop (RunOpenLoop): Poisson arrivals at a fixed rate,
 //     submitted with TrySubmit — a saturated server drops (and counts)
@@ -16,8 +15,8 @@
 //
 // Request streams are pre-generated and deterministic in the workload
 // seed: request i carries id = i and its own derived rng_seed, so any two
-// runs over the same stream — whatever the batching, worker count, or
-// loop shape — produce bit-identical teams per request (the fixed-seed
+// runs over the same stream — whatever the worker count or loop shape —
+// produce bit-identical teams per request (the fixed-seed
 // replay mode of `tfsn_cli serve` is exactly this).
 
 #pragma once
@@ -163,10 +162,10 @@ WorkloadResult RunClosedLoop(TeamFormationServer* server,
 /// Saturation / replay mode: the whole stream is submitted back to back
 /// from the calling thread (blocking Push — size the server's queue for
 /// the stream), then every response is awaited. The admission queue stays
-/// as deep as the remaining stream, so the batching scheduler sees its
-/// full grouping window: this measures peak service throughput without
-/// client-thread scheduling noise, and is the deterministic fixed-seed
-/// replay mode of `tfsn_cli serve` (no pacing, no drops).
+/// as deep as the remaining stream, so no worker ever idles: this
+/// measures peak service throughput without client-thread scheduling
+/// noise, and is the deterministic fixed-seed replay mode of `tfsn_cli
+/// serve` (no pacing, no drops).
 WorkloadResult RunBurst(TeamFormationServer* server,
                         std::vector<TeamRequest> requests);
 

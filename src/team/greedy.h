@@ -171,10 +171,9 @@ class GreedyTeamFormer {
 
   /// Forms a team for `task` evaluating against a caller-supplied view
   /// whose task skills are a superset of `task`'s (and that was built over
-  /// this former's oracle and skills). The serving layer's batching
-  /// scheduler builds one view for a group of requests with overlapping
-  /// skill footprints and runs every member task against it; because the
-  /// greedy loop only ever consults the view through the member task's own
+  /// this former's oracle and skills). The serving layer's cache-only
+  /// tier runs a request against a view it built itself; because the
+  /// greedy loop only ever consults the view through the task's own
   /// holder masks and pair rows — whose bits are global-graph properties,
   /// ordered by global id in every universe — the result is bit-identical
   /// to Form() on the same task for every policy and relation, including

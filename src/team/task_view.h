@@ -89,8 +89,7 @@ class TaskCompatView {
 
   /// As Build, but takes the already-computed candidate universe (sorted,
   /// deduplicated union of the task's skill holders) so callers that
-  /// needed it anyway — e.g. the serving batch scheduler's footprint
-  /// check — don't pay the concat/sort/dedup twice.
+  /// needed it anyway don't pay the concat/sort/dedup twice.
   static std::unique_ptr<TaskCompatView> BuildFromUniverse(
       CompatibilityOracle* oracle, const SkillAssignment& skills,
       const Task& task, std::vector<NodeId> universe, uint32_t threads = 1,
@@ -185,8 +184,8 @@ class TaskCompatView {
 
   /// Bytes a view over `m` candidates with `num_task_skills` holder masks
   /// can commit — the figure the builders check against `max_bytes`,
-  /// exposed so batch schedulers (src/serve) can cap a group's union
-  /// footprint before paying for the build. Counts the up-front arrays,
+  /// exposed so callers can check a footprint before paying for the
+  /// build. Counts the up-front arrays,
   /// the holder masks and one comp-bit row per candidate; SBPH adds its
   /// eager closure and every candidate's distance row (its MinDistance
   /// reads both directions). Other relations fill distance rows for team

@@ -45,7 +45,6 @@
 #include "src/graph/signed_graph.h"       // IWYU pragma: export
 #include "src/graph/transform.h"          // IWYU pragma: export
 #include "src/serve/admission_queue.h"    // IWYU pragma: export
-#include "src/serve/batcher.h"            // IWYU pragma: export
 #include "src/serve/server.h"             // IWYU pragma: export
 #include "src/serve/types.h"              // IWYU pragma: export
 #include "src/serve/workload.h"           // IWYU pragma: export

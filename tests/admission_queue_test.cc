@@ -100,52 +100,6 @@ TEST(AdmissionQueueTest, CloseWakesBlockedProducerAndConsumer) {
   EXPECT_EQ(v, 1);
 }
 
-TEST(AdmissionQueueTest, PopOrOutcomes) {
-  AdmissionQueue<int> q(4);
-  int v = -1;
-  // Predicate already true on an empty open queue: immediate kWakeup.
-  EXPECT_EQ(q.PopOr(&v, [] { return true; }), PopStatus::kWakeup);
-  // An available item wins over a true predicate.
-  EXPECT_TRUE(q.Push(7).ok());
-  EXPECT_EQ(q.PopOr(&v, [] { return true; }), PopStatus::kItem);
-  EXPECT_EQ(v, 7);
-  // Closed with a leftover: drain first, then report closed.
-  EXPECT_TRUE(q.Push(8).ok());
-  q.Close();
-  EXPECT_EQ(q.PopOr(&v, [] { return false; }), PopStatus::kItem);
-  EXPECT_EQ(v, 8);
-  EXPECT_EQ(q.PopOr(&v, [] { return false; }), PopStatus::kClosed);
-}
-
-TEST(AdmissionQueueTest, KickWakesPopOrWhenPredicateTurnsTrue) {
-  AdmissionQueue<int> q(4);
-  std::atomic<bool> flag{false};
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    int v;
-    EXPECT_EQ(q.PopOr(&v, [&flag] { return flag.load(); }),
-              PopStatus::kWakeup);
-    woke.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(woke.load());  // predicate false: still asleep
-  flag.store(true);
-  q.Kick();
-  waiter.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(AdmissionQueueTest, DrainIntoTakesAvailableWithoutBlocking) {
-  AdmissionQueue<int> q(100);
-  std::vector<int> out;
-  EXPECT_EQ(q.DrainInto(&out, 10), 0u);  // empty: returns immediately
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(q.Push(i).ok());
-  EXPECT_EQ(q.DrainInto(&out, 5), 5u);
-  EXPECT_EQ(q.DrainInto(&out, 5), 2u);
-  ASSERT_EQ(out.size(), 7u);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], i);  // FIFO preserved
-}
-
 // 8 producers x 4 consumers over a small queue: every item is delivered
 // exactly once and shutdown loses nothing. Run under TSan in CI.
 TEST(AdmissionQueueTest, ProducerConsumerHammer) {

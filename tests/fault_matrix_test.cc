@@ -97,7 +97,6 @@ class FaultMatrixTest : public ::testing::Test {
 
     ServerOptions options;
     options.workers = 2;
-    options.batch.max_batch = 8;
     TeamFormationServer server(inst_.graph, inst_.skills, &index,
                                CompatKind::kSPM, cache, options);
     WorkloadOptions wopts;
@@ -129,7 +128,6 @@ TEST_F(FaultMatrixTest, EveryFaultScheduleKeepsAnswersDigestIdentical) {
       {"row_spill.read_crc_flip", "every:2"},
       {"row_spill.mmap_fail", "every:2"},
       {"task_view.build_fail", "every:2"},
-      {"serve.shared_view_drop", "every:2"},
       {"row_cache.insert_drop", "p:0.3:7"},
       {"row_spill.append_enospc", "always"},
       {"task_view.build_fail", "always"},
@@ -156,13 +154,13 @@ TEST_F(FaultMatrixTest, EveryFaultScheduleKeepsAnswersDigestIdentical) {
 }
 
 TEST_F(FaultMatrixTest, ShutdownMidFaultFulfillsEveryPromise) {
-  // Aggressive view loss + a concurrent shutdown: whatever the races, no
-  // admitted future may block forever and no successful answer may
-  // diverge.
+  // Every view build fails inside each worker's Form (forcing the oracle
+  // fallback) + a concurrent shutdown: whatever the races, no admitted
+  // future may block forever and no successful answer may diverge.
   auto& reg = FaultRegistry::Instance();
   FaultSchedule schedule;
   ASSERT_TRUE(FaultRegistry::ParseSchedule("always", &schedule));
-  reg.Arm("serve.shared_view_drop", schedule);
+  reg.Arm("task_view.build_fail", schedule);
   reg.Arm("row_cache.insert_drop", schedule);
 
   auto cache = std::make_shared<RowCache>();
@@ -196,8 +194,16 @@ TEST_F(FaultMatrixTest, ShutdownMidFaultFulfillsEveryPromise) {
     const TeamResponse resp = futures[i].get();
     EXPECT_TRUE(resp.status.ok() || resp.status.IsUnavailable())
         << resp.status.ToString();
+    if (resp.status.ok()) {
+      EXPECT_FALSE(resp.used_view);
+    }
   }
   closer.join();
+  // Every full-path Form lost its view and ran the oracle loop.
+  const ServerMetrics m = server.Metrics();
+  EXPECT_GT(reg.FireCount("task_view.build_fail"), 0u);
+  EXPECT_EQ(m.shared_view_batches, 0u);
+  EXPECT_EQ(m.fallback_batches, m.batches);
 }
 
 TEST_F(FaultMatrixTest, SpillReopenScanCorruption) {

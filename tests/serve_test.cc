@@ -1,9 +1,7 @@
-// Tests for the serving layer (src/serve): the batching scheduler must
-// group by skill-footprint overlap under its caps, and the server must
-// return teams bit-identical to the direct GreedyTeamFormer path for
-// every request — whatever the batching, worker count, or arrival order
-// — because batching shares *state* (the union-task view), never the
-// per-request computation semantics.
+// Tests for the serving layer (src/serve): the server must return teams
+// bit-identical to the direct GreedyTeamFormer path for every request —
+// whatever the worker count, cache tiering, or arrival order — and
+// compute no row the direct path would not.
 
 #include "src/serve/server.h"
 
@@ -19,10 +17,10 @@
 #include "src/compat/row_spill.h"
 #include "src/compat/skill_index.h"
 #include "src/gen/generators.h"
-#include "src/serve/batcher.h"
 #include "src/serve/workload.h"
 #include "src/skills/skill_generator.h"
 #include "src/team/greedy.h"
+#include "src/team/task_view.h"
 #include "src/util/rng.h"
 
 namespace tfsn::serve {
@@ -53,8 +51,8 @@ void ExpectSameTeam(const TeamResult& a, const TeamResult& b,
   EXPECT_EQ(a.seeds_succeeded, b.seeds_succeeded) << what;
 }
 
-// Forms every request directly (no server, no batching) with the given
-// params — the reference the serving path must reproduce bit for bit.
+// Forms every request directly (no server) with the given params — the
+// reference the serving path must reproduce bit for bit.
 std::vector<TeamResult> DirectReference(const Instance& inst, CompatKind kind,
                                         const GreedyParams& params,
                                         const std::vector<TeamRequest>& reqs) {
@@ -72,23 +70,8 @@ std::vector<TeamResult> DirectReference(const Instance& inst, CompatKind kind,
 }
 
 // ---------------------------------------------------------------------------
-// Pure helpers
+// Workload generation
 // ---------------------------------------------------------------------------
-
-TEST(ServeHelpersTest, JaccardSorted) {
-  using V = std::vector<NodeId>;
-  EXPECT_DOUBLE_EQ(JaccardSorted(V{}, V{}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSorted(V{1, 2, 3}, V{1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSorted(V{1, 2}, V{3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardSorted(V{1, 2, 3}, V{2, 3, 4}), 0.5);
-  EXPECT_DOUBLE_EQ(JaccardSorted(V{1}, V{1, 2, 3, 4}), 0.25);
-}
-
-TEST(ServeHelpersTest, UnionSorted) {
-  using V = std::vector<NodeId>;
-  EXPECT_EQ(UnionSorted(V{1, 3}, V{2, 3, 5}), (V{1, 2, 3, 5}));
-  EXPECT_EQ(UnionSorted(V{}, V{7}), V{7});
-}
 
 TEST(ZipfTaskSamplerTest, ValidAndDeterministic) {
   Instance inst = MakeInstance(60, 140, 0.2, 15, 11);
@@ -131,21 +114,20 @@ TEST(FormWithViewTest, SupersetViewMatchesDirectFormAllPoliciesAndKinds) {
   for (int i = 0; i < 6; ++i) {
     tasks.push_back(RandomTask(inst.skills, 3, &task_rng));
   }
-  // The union task covers every sampled task — the shared view a batch
-  // worker would build.
+  // The union task covers every sampled task: one view serves them all.
   std::vector<SkillId> union_skills;
   for (const Task& t : tasks) {
     union_skills.insert(union_skills.end(), t.skills().begin(),
                         t.skills().end());
   }
-  Task union_task(union_skills);
+  Task superset_task(union_skills);
 
   for (CompatKind kind :
        {CompatKind::kSPM, CompatKind::kNNE, CompatKind::kSBPH}) {
     auto oracle = MakeOracle(inst.graph, kind);
     Rng idx_rng(3);
     SkillCompatibilityIndex index(oracle.get(), inst.skills, 0, &idx_rng);
-    auto view = TaskCompatView::Build(oracle.get(), inst.skills, union_task);
+    auto view = TaskCompatView::Build(oracle.get(), inst.skills, superset_task);
     ASSERT_NE(view, nullptr);
     for (UserPolicy up : {UserPolicy::kMinDistance, UserPolicy::kMostCompatible,
                           UserPolicy::kRandom}) {
@@ -175,133 +157,6 @@ TEST(FormWithViewTest, SupersetViewMatchesDirectFormAllPoliciesAndKinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch scheduler
-// ---------------------------------------------------------------------------
-
-ScheduledRequest MakeScheduled(uint64_t id, std::vector<SkillId> skills) {
-  ScheduledRequest sr;
-  sr.request.id = id;
-  sr.request.task = Task(std::move(skills));
-  sr.request.rng_seed = id;
-  return sr;
-}
-
-std::vector<uint64_t> Ids(const RequestBatch& batch) {
-  std::vector<uint64_t> ids;
-  for (const ScheduledRequest& sr : batch.items) {
-    ids.push_back(sr.request.id);
-  }
-  return ids;
-}
-
-TEST(BatchSchedulerTest, GroupsOverlappingFootprintsOnly) {
-  // Users 0..5 hold skills 0/1 (interleaved), users 6..11 hold skills 2/3:
-  // two disjoint footprint clusters.
-  std::vector<std::vector<SkillId>> user_skills(12);
-  for (uint32_t u = 0; u < 6; ++u) user_skills[u] = {u % 2 == 0 ? 0u : 1u};
-  for (uint32_t u = 6; u < 12; ++u) user_skills[u] = {u % 2 == 0 ? 2u : 3u};
-  auto skills = SkillAssignment::Create(user_skills, 4);
-  ASSERT_TRUE(skills.ok());
-
-  BatchPolicy policy;
-  policy.max_batch = 8;
-  policy.min_jaccard = 0.3;
-  BatchScheduler scheduler(*skills, /*sbph=*/false, policy);
-  AdmissionQueue<ScheduledRequest> queue(16);
-
-  ASSERT_TRUE(queue.Push(MakeScheduled(0, {0})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(1, {2})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(2, {1})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(3, {3})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(4, {0, 1})).ok());
-  queue.Close();
-
-  RequestBatch batch;
-  // Seeded by request 0 = {skill 0}. The single greedy pass runs in
-  // arrival order: request 2 = {skill 1} is tested against holders(0)
-  // (Jaccard 0, stays pending) before request 4 = {0,1} joins and widens
-  // the union; the skill-2/3 requests are disjoint throughout.
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{0, 4}));
-  std::vector<SkillId> want_union{0, 1};
-  EXPECT_EQ(std::vector<SkillId>(batch.union_task.skills().begin(),
-                                 batch.union_task.skills().end()),
-            want_union);
-  // Union universe = holders(0) ∪ holders(1) = users 0..5.
-  EXPECT_EQ(batch.universe, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
-
-  // Next seed is request 1 (skill 2); request 3 = {3} is disjoint from
-  // it, request 2 = {1} too — batch is {1} alone.
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{1}));
-
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{2}));
-
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{3}));
-
-  // Queue closed and drained, pending empty: shutdown.
-  EXPECT_FALSE(scheduler.NextBatch(&queue, &batch));
-}
-
-TEST(BatchSchedulerTest, IdenticalTasksBatchUpToMaxBatch) {
-  std::vector<std::vector<SkillId>> user_skills(6, std::vector<SkillId>{0});
-  auto skills = SkillAssignment::Create(user_skills, 1);
-  ASSERT_TRUE(skills.ok());
-
-  BatchPolicy policy;
-  policy.max_batch = 2;
-  policy.min_jaccard = 0.5;
-  BatchScheduler scheduler(*skills, false, policy);
-  AdmissionQueue<ScheduledRequest> queue(16);
-  for (uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.Push(MakeScheduled(i, {0})).ok());
-  }
-  queue.Close();
-
-  RequestBatch batch;
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{0, 1}));
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{2, 3}));
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{4}));
-  EXPECT_FALSE(scheduler.NextBatch(&queue, &batch));
-}
-
-TEST(BatchSchedulerTest, ByteCapStopsUnionGrowth) {
-  // Two overlapping skills with large holder sets; the byte cap admits a
-  // single-skill universe but not the union.
-  std::vector<std::vector<SkillId>> user_skills(80);
-  for (uint32_t u = 0; u < 60; ++u) user_skills[u].push_back(0);
-  for (uint32_t u = 20; u < 80; ++u) user_skills[u].push_back(1);
-  auto skills = SkillAssignment::Create(user_skills, 2);
-  ASSERT_TRUE(skills.ok());
-
-  BatchPolicy policy;
-  policy.max_batch = 8;
-  policy.min_jaccard = 0.0;
-  // A 60-holder universe fits; the 80-node union does not.
-  policy.max_view_bytes = TaskCompatView::EstimateBytes(70, 2, false);
-  BatchScheduler scheduler(*skills, false, policy);
-  AdmissionQueue<ScheduledRequest> queue(16);
-  ASSERT_TRUE(queue.Push(MakeScheduled(0, {0})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(1, {1})).ok());
-  ASSERT_TRUE(queue.Push(MakeScheduled(2, {0})).ok());  // duplicate: no growth
-  queue.Close();
-
-  RequestBatch batch;
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  // 1 would push the union to 80 holders (over cap); 2 adds nothing and
-  // joins.
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{0, 2}));
-  ASSERT_TRUE(scheduler.NextBatch(&queue, &batch));
-  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{1}));
-  EXPECT_FALSE(scheduler.NextBatch(&queue, &batch));
-}
-
-// ---------------------------------------------------------------------------
 // Server end-to-end
 // ---------------------------------------------------------------------------
 
@@ -320,20 +175,16 @@ struct ServerHarness {
                                                       0, &rng);
   }
 
-  ServerOptions Options(uint32_t workers, uint32_t max_batch) const {
+  ServerOptions Options(uint32_t workers) const {
     ServerOptions options;
     options.workers = workers;
-    options.batch.max_batch = max_batch;
-    options.batch.min_jaccard = 0.05;
     return options;
   }
 
-  std::unique_ptr<TeamFormationServer> NewServer(uint32_t workers,
-                                                 uint32_t max_batch) {
+  std::unique_ptr<TeamFormationServer> NewServer(uint32_t workers) {
     return std::make_unique<TeamFormationServer>(inst.graph, inst.skills,
                                                  index.get(), CompatKind::kSPM,
-                                                 cache,
-                                                 Options(workers, max_batch));
+                                                 cache, Options(workers));
   }
 };
 
@@ -350,7 +201,7 @@ std::vector<TeamRequest> HarnessRequests(const ServerHarness& h, uint32_t n,
 TEST(TeamFormationServerTest, BitIdenticalToDirectFormerPath) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 60);
-  auto server = h.NewServer(/*workers=*/2, /*max_batch=*/8);
+  auto server = h.NewServer(/*workers=*/2);
   WorkloadResult run = RunClosedLoop(server.get(), requests, /*clients=*/4);
   server->Shutdown();
 
@@ -360,45 +211,72 @@ TEST(TeamFormationServerTest, BitIdenticalToDirectFormerPath) {
       h.inst, CompatKind::kSPM, server->options().greedy, requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_EQ(run.responses[i].id, requests[i].id);
-    EXPECT_GE(run.responses[i].batch_size, 1u);
+    EXPECT_TRUE(run.responses[i].used_view);
     ExpectSameTeam(run.responses[i].result, reference[i],
                    "request " + std::to_string(i));
   }
 }
 
-TEST(TeamFormationServerTest, BatchedAndUnbatchedAgreeAndReplayIsStable) {
+TEST(TeamFormationServerTest, ReplayIsStableAcrossWorkerCounts) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 50);
 
-  auto batched = h.NewServer(2, 8);
-  WorkloadResult run_batched = RunClosedLoop(batched.get(), requests, 4);
-  batched->Shutdown();
-  const ServerMetrics batched_metrics = batched->Metrics();
-
-  auto unbatched = h.NewServer(2, 1);
-  WorkloadResult run_unbatched = RunClosedLoop(unbatched.get(), requests, 4);
-  unbatched->Shutdown();
-  const ServerMetrics unbatched_metrics = unbatched->Metrics();
-
-  auto replay = h.NewServer(1, 8);
-  WorkloadResult run_replay = RunClosedLoop(replay.get(), requests, 2);
-  replay->Shutdown();
-
-  ASSERT_EQ(run_batched.responses.size(), requests.size());
-  ASSERT_EQ(run_unbatched.responses.size(), requests.size());
-  ASSERT_EQ(run_replay.responses.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ExpectSameTeam(run_batched.responses[i].result,
-                   run_unbatched.responses[i].result,
-                   "batched vs unbatched, request " + std::to_string(i));
-    ExpectSameTeam(run_batched.responses[i].result,
-                   run_replay.responses[i].result,
-                   "replay, request " + std::to_string(i));
-    EXPECT_EQ(run_unbatched.responses[i].batch_size, 1u);
+  std::vector<WorkloadResult> runs;
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    auto server = h.NewServer(workers);
+    runs.push_back(RunClosedLoop(server.get(), requests, /*clients=*/4));
+    server->Shutdown();
+    // One full-path Form per request, each on its own view.
+    const ServerMetrics m = server->Metrics();
+    EXPECT_EQ(m.batches, requests.size());
+    EXPECT_EQ(m.shared_view_batches, requests.size());
   }
-  // The unbatched server pays one batch (and one view) per request.
-  EXPECT_EQ(unbatched_metrics.batches, requests.size());
-  EXPECT_LE(batched_metrics.batches, unbatched_metrics.batches);
+  for (const WorkloadResult& run : runs) {
+    ASSERT_EQ(run.responses.size(), requests.size());
+  }
+  for (size_t r = 1; r < runs.size(); ++r) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ExpectSameTeam(runs[0].responses[i].result, runs[r].responses[i].result,
+                     "run " + std::to_string(r) + ", request " +
+                         std::to_string(i));
+    }
+  }
+}
+
+TEST(TeamFormationServerTest, ServedRequestComputesOnlyTheRowsFormTouches) {
+  // A served request costs the rows its own Form reads and no more: the
+  // server's fresh cache ends with exactly the rows a direct,
+  // prefetch-free Form over the same stream computes on another fresh
+  // cache. A prefetch of each task's holder universe would insert every
+  // holder's row instead.
+  ServerHarness h;
+  const auto requests = HarnessRequests(h, 40);
+
+  auto direct_cache = std::make_shared<RowCache>();
+  {
+    auto oracle = MakeOracle(h.inst.graph, CompatKind::kSPM, OracleParams{},
+                             direct_cache);
+    GreedyParams params;
+    params.prefetch_threads = 0;
+    GreedyTeamFormer former(oracle.get(), h.inst.skills, h.index.get(),
+                            params);
+    for (const TeamRequest& req : requests) {
+      Rng rng(req.rng_seed);
+      former.Form(req.task, &rng);
+    }
+  }
+  const uint64_t direct_rows = direct_cache->SnapshotCounters().insertions;
+  ASSERT_GT(direct_rows, 0u);
+
+  auto served_cache = std::make_shared<RowCache>();
+  ServerOptions options = h.Options(/*workers=*/1);
+  options.greedy.prefetch_threads = 4;  // the server must override it
+  TeamFormationServer server(h.inst.graph, h.inst.skills, h.index.get(),
+                             CompatKind::kSPM, served_cache, options);
+  WorkloadResult run = RunBurst(&server, requests);
+  server.Shutdown();
+  ASSERT_EQ(run.completed, requests.size());
+  EXPECT_EQ(served_cache->SnapshotCounters().insertions, direct_rows);
 }
 
 TEST(TeamFormationServerTest, TieredCacheServesBitIdenticalTeams) {
@@ -434,7 +312,7 @@ TEST(TeamFormationServerTest, TieredCacheServesBitIdenticalTeams) {
 
   const auto requests = HarnessRequests(h, 60);
   TeamFormationServer server(h.inst.graph, h.inst.skills, &index,
-                             CompatKind::kSPM, tiered, h.Options(2, 8));
+                             CompatKind::kSPM, tiered, h.Options(2));
   WorkloadResult run = RunClosedLoop(&server, requests, /*clients=*/4);
   server.Shutdown();
 
@@ -459,7 +337,7 @@ TEST(TeamFormationServerTest, TieredCacheServesBitIdenticalTeams) {
 TEST(TeamFormationServerTest, RandomPolicyReplayDeterminism) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 30);
-  ServerOptions options = h.Options(2, 8);
+  ServerOptions options = h.Options(2);
   options.greedy.user_policy = UserPolicy::kRandom;
 
   std::vector<WorkloadResult> runs;
@@ -479,7 +357,7 @@ TEST(TeamFormationServerTest, RandomPolicyReplayDeterminism) {
 TEST(TeamFormationServerTest, MetricsAccounting) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 40);
-  auto server = h.NewServer(2, 8);
+  auto server = h.NewServer(2);
   WorkloadResult run = RunClosedLoop(server.get(), requests, 4);
   server->Shutdown();
   const ServerMetrics m = server->Metrics();
@@ -489,18 +367,11 @@ TEST(TeamFormationServerTest, MetricsAccounting) {
   EXPECT_EQ(m.total_us.count(), requests.size());
   EXPECT_EQ(m.queue_us.count(), requests.size());
   EXPECT_EQ(m.service_us.count(), requests.size());
-  EXPECT_GE(m.batches, 1u);
+  // Deadline-free traffic: every request takes the full path once.
+  EXPECT_EQ(m.batches, requests.size());
   EXPECT_EQ(m.batches, m.shared_view_batches + m.fallback_batches);
-  uint64_t weighted = 0, batch_total = 0;
-  ASSERT_EQ(m.batch_size_counts.size(),
-            static_cast<size_t>(server->options().batch.max_batch) + 1);
-  for (size_t b = 0; b < m.batch_size_counts.size(); ++b) {
-    weighted += b * m.batch_size_counts[b];
-    batch_total += m.batch_size_counts[b];
-  }
-  EXPECT_EQ(weighted, requests.size());
-  EXPECT_EQ(batch_total, m.batches);
-  EXPECT_GT(m.MeanBatchSize(), 0.0);
+  EXPECT_EQ(m.shed, 0u);
+  EXPECT_EQ(m.degraded, 0u);
   EXPECT_GT(m.cache.lookups(), 0u);
   // Percentiles are well-defined and ordered.
   EXPECT_LE(m.total_us.ValueAtQuantile(0.5), m.total_us.ValueAtQuantile(0.99));
@@ -509,7 +380,7 @@ TEST(TeamFormationServerTest, MetricsAccounting) {
 TEST(TeamFormationServerTest, ShutdownDrainsAndRefusesNewWork) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 20);
-  auto server = h.NewServer(1, 4);
+  auto server = h.NewServer(1);
   std::vector<std::future<TeamResponse>> futures;
   for (const TeamRequest& req : requests) {
     std::future<TeamResponse> fut;
@@ -520,7 +391,7 @@ TEST(TeamFormationServerTest, ShutdownDrainsAndRefusesNewWork) {
   // Every admitted request was served before the workers exited.
   for (auto& fut : futures) {
     const TeamResponse resp = fut.get();
-    EXPECT_GE(resp.batch_size, 1u);
+    EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
   }
   std::future<TeamResponse> fut;
   EXPECT_TRUE(server->Submit(requests[0], &fut).IsUnavailable());
@@ -531,7 +402,7 @@ TEST(TeamFormationServerTest, ShutdownDrainsAndRefusesNewWork) {
 TEST(TeamFormationServerTest, OpenLoopAccountsEveryArrival) {
   ServerHarness h;
   const auto requests = HarnessRequests(h, 30);
-  ServerOptions options = h.Options(1, 4);
+  ServerOptions options = h.Options(1);
   options.queue_capacity = 4;  // tiny queue: drops are possible, not required
   TeamFormationServer server(h.inst.graph, h.inst.skills, h.index.get(),
                              CompatKind::kSPM, h.cache, options);

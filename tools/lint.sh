@@ -107,7 +107,7 @@ HITS=$(grep -rnE 'for[[:space:]]*\(.*:[^)]*unordered_(map|set)' \
 # ---------------------------------------------------------------------------
 # Subsystem prefixes with fault points today. Extending a prefix means a
 # new injectable layer: add it here AND a catalog section in README.md.
-FAULT_PREFIXES='dist|row_cache|row_spill|serve|task_view'
+FAULT_PREFIXES='dist|row_cache|row_spill|task_view'
 echo "== fault-point lint =="
 POINTS=$(grep -rhoE 'TFSN_FAULT_POINT\("[^"]+"\)' src --include='*.cc' \
   --include='*.h' | sed -E 's/TFSN_FAULT_POINT\("([^"]+)"\)/\1/' | sort)
