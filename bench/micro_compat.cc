@@ -6,7 +6,7 @@
 //       micro_compat --quick [--json=BENCH_micro_compat.json]
 //       micro_compat --batch [--sources=N] [--json=...]
 //     measures the bit-parallel 64-source engine (ms_signed_bfs.h) against
-//     the scalar per-row kernels for SPA/SPO on preferential-attachment
+//     the scalar per-row kernels for SPA/SPO/SPM on preferential-attachment
 //     graphs, printing rows/sec and the batch speedup, and optionally
 //     writing a BENCH_*.json trajectory file (format: README, "Bench JSON
 //     output"). --quick trims the sweep for CI smoke runs and skips the
@@ -65,6 +65,7 @@ struct BatchMeasurement {
   uint32_t sources = 0;
   double scalar_seconds = 0.0;
   double batch_seconds = 0.0;
+  uint64_t overflow_lanes = 0;  // SPM lanes recomputed scalar
 
   double scalar_rows_per_sec() const {
     return scalar_seconds > 0 ? sources / scalar_seconds : 0.0;
@@ -99,20 +100,41 @@ BatchMeasurement MeasureBatchVsScalar(const SignedGraph& g, CompatKind kind,
   }
   m.scalar_seconds = scalar_timer.Seconds();
 
+  auto block_of = [&](size_t off) {
+    return std::span<const NodeId>(
+        sources.data() + off, std::min(kMsBfsBatchSize, sources.size() - off));
+  };
+  MsBfsScratch scratch;
   Timer batch_timer;
   for (size_t off = 0; off < sources.size(); off += kMsBfsBatchSize) {
-    const size_t len = std::min(kMsBfsBatchSize, sources.size() - off);
-    auto rows = ComputeCompatRowBlock(
-        g, kind, std::span<const NodeId>(sources.data() + off, len));
-    if (rows.size() != len) std::abort();
+    auto rows = ComputeCompatRowBlock(g, kind, block_of(off), &scratch);
+    if (rows.size() != block_of(off).size()) std::abort();
   }
   m.batch_seconds = batch_timer.Seconds();
+  m.overflow_lanes = scratch.overflow_lanes;
+
+  // The speedup counts only if the rows are the scalar rows: an untimed
+  // second pass compares every block row with its scalar row.
+  for (size_t off = 0; off < sources.size(); off += kMsBfsBatchSize) {
+    auto rows = ComputeCompatRowBlock(g, kind, block_of(off), &scratch);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const CompatRow scalar =
+          ComputeCompatRow(g, kind, params, sources[off + k]);
+      if (rows[k].comp != scalar.comp || rows[k].dist != scalar.dist ||
+          (kind == CompatKind::kSPM && rows[k].saturated != scalar.saturated)) {
+        std::fprintf(stderr, "%s block row of source %u differs from scalar\n",
+                     CompatKindName(kind), sources[off + k]);
+        std::abort();
+      }
+    }
+  }
   return m;
 }
 
 // Runs the batch-vs-scalar sweep, prints a table, and appends one JSON
 // object per measurement. Single-threaded by construction: the speedup is
-// pure bit-parallelism, not thread parallelism.
+// pure bit-parallelism, not thread parallelism. Aborts when a block row
+// differs from its scalar row.
 void RunBatchSweep(bool quick, uint32_t num_sources, bench::JsonArrayWriter* json) {
   std::vector<int64_t> sizes = quick ? std::vector<int64_t>{1000, 10000}
                                      : std::vector<int64_t>{1000, 10000, 30000};
@@ -123,7 +145,8 @@ void RunBatchSweep(bool quick, uint32_t num_sources, bench::JsonArrayWriter* jso
       "speedup");
   for (int64_t n : sizes) {
     const SignedGraph& g = GraphOfSize(n);
-    for (CompatKind kind : {CompatKind::kSPA, CompatKind::kSPO}) {
+    for (CompatKind kind :
+         {CompatKind::kSPA, CompatKind::kSPO, CompatKind::kSPM}) {
       BatchMeasurement m = MeasureBatchVsScalar(g, kind, num_sources);
       std::printf("%8u %9llu %5s %14.1f %14.1f %8.2fx\n", m.n,
                   static_cast<unsigned long long>(m.edges),
@@ -143,6 +166,9 @@ void RunBatchSweep(bool quick, uint32_t num_sources, bench::JsonArrayWriter* jso
         json->Field("scalar_rows_per_sec", m.scalar_rows_per_sec());
         json->Field("batch_rows_per_sec", m.batch_rows_per_sec());
         json->Field("speedup", m.speedup());
+        json->Field("overflow_lanes", m.overflow_lanes);
+        json->Field("identical", true);
+        bench::HardwareFields(json);
         json->EndObject();
       }
     }

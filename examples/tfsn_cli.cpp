@@ -294,6 +294,13 @@ int CmdTeam(const Flags& flags) {
               params.eval_path == GreedyEvalPath::kOracle ? "oracle"
               : former.oracle_fallbacks() > 0           ? "oracle fallback"
                                                         : "view");
+  // Which kernel produced the rows this run computed (index build, prewarm
+  // and seed loop): bit-parallel blocks or scalar BFSs, and how many block
+  // lanes overflowed SPM's count planes and were recomputed scalar.
+  std::printf("rows      : %" PRIu64 " computed, %" PRIu64
+              " in blocks, %" PRIu64 " lanes recomputed\n",
+              oracle->rows_computed(), oracle->block_rows_computed(),
+              oracle->overflow_lanes_recomputed());
   if (teams.empty()) {
     std::printf("no compatible team found under %s\n", CompatKindName(kind));
     return 2;

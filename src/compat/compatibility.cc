@@ -150,41 +150,57 @@ CompatibilityOracle::GetRows(std::span<const NodeId> sources,
   for (size_t i : missed) {
     if (first_index.try_emplace(sources[i], i).second) work.push_back(i);
   }
-  // Existence-only relations with the stock kernel go through the
-  // bit-parallel engine: misses are grouped into 64-source blocks, each
-  // block one traversal (ms_signed_bfs.h), blocks spread across workers.
-  // Count-based relations (SPM, threshold) and custom kernels keep the
-  // scalar per-source path. A lone miss is cheaper scalar, too.
+  // Relations the bit-parallel engine supports (ms_signed_bfs.h) go
+  // through it when they use the stock kernel: the misses are split into
+  // equal blocks of at most 64 sources, one traversal each — and into at
+  // least one block per worker while blocks keep kMinBlockLanes sources, so
+  // no worker idles on a 128-miss fetch. Each worker reuses one scratch
+  // across its blocks. The threshold relation, SBP/SBPH and custom kernels
+  // keep the scalar per-source path, and so does a lone miss.
+  constexpr size_t kMinBlockLanes = 8;
   const bool batchable = kernel_ == KernelForKind(kind_) &&
                          MsBfsSupportsKind(kind_) && work.size() > 1;
   if (batchable) {
-    const size_t blocks = (work.size() + kMsBfsBatchSize - 1) / kMsBfsBatchSize;
-    ParallelForEach(blocks, ResolveThreads(threads), [&](uint64_t b) {
-      const size_t begin = b * kMsBfsBatchSize;
-      const size_t end = std::min(work.size(), begin + kMsBfsBatchSize);
+    const size_t misses = work.size();
+    const uint32_t workers = ResolveThreads(threads);
+    auto ceil_div = [](size_t a, size_t b) { return (a + b - 1) / b; };
+    const size_t blocks =
+        std::max(ceil_div(misses, kMsBfsBatchSize),
+                 std::min<size_t>(workers, ceil_div(misses, kMinBlockLanes)));
+    // Blocks are equal, so a static split over the workers balances.
+    ParallelFor(blocks, workers, [&](uint32_t, uint64_t first, uint64_t last) {
+      MsBfsScratch scratch;
       std::vector<NodeId> block;
       std::vector<size_t> out_index;
-      block.reserve(end - begin);
-      out_index.reserve(end - begin);
-      for (size_t w = begin; w < end; ++w) {
-        const size_t i = work[w];
-        const NodeId q = sources[i];
-        // Re-probe (uncounted) before paying for the traversal: a
-        // concurrent sharer may have published the row since the probe
-        // pass recorded the miss.
-        if (auto row = cache_->Get(KeyFor(q), /*count_miss=*/false)) {
-          out[i] = std::move(row);
-        } else {
-          block.push_back(q);
-          out_index.push_back(i);
+      for (uint64_t b = first; b < last; ++b) {
+        block.clear();
+        out_index.clear();
+        for (size_t w = b * misses / blocks; w < (b + 1) * misses / blocks;
+             ++w) {
+          const size_t i = work[w];
+          const NodeId q = sources[i];
+          // Re-probe (uncounted) before paying for the traversal: a
+          // concurrent sharer may have published the row since the probe
+          // pass recorded the miss.
+          if (auto row = cache_->Get(KeyFor(q), /*count_miss=*/false)) {
+            out[i] = std::move(row);
+          } else {
+            block.push_back(q);
+            out_index.push_back(i);
+          }
+        }
+        if (block.empty()) continue;
+        std::vector<Row> rows =
+            ComputeCompatRowBlock(*graph_, kind_, block, &scratch);
+        rows_computed_.fetch_add(block.size(), std::memory_order_relaxed);
+        block_rows_.fetch_add(block.size(), std::memory_order_relaxed);
+        for (size_t k = 0; k < block.size(); ++k) {
+          out[out_index[k]] =
+              cache_->Insert(KeyFor(block[k]), std::move(rows[k]));
         }
       }
-      if (block.empty()) return;
-      std::vector<Row> rows = ComputeCompatRowBlock(*graph_, kind_, block);
-      for (size_t k = 0; k < block.size(); ++k) {
-        rows_computed_.fetch_add(1, std::memory_order_relaxed);
-        out[out_index[k]] = cache_->Insert(KeyFor(block[k]), std::move(rows[k]));
-      }
+      overflow_lanes_.fetch_add(scratch.overflow_lanes,
+                                std::memory_order_relaxed);
     });
   } else {
     // Dynamic scheduling: per-row cost varies (SBP rows are far heavier

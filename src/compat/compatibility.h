@@ -124,21 +124,24 @@ class CompatibilityOracle {
 
   /// Batched multi-source fetch: probes the cache for every source, then
   /// computes the misses (each exactly once, duplicates deduplicated) and
-  /// publishes them to the shared cache. For SPA/SPO/DPE/NNE with the
-  /// stock kernel, misses are grouped into 64-source blocks computed by
-  /// the bit-parallel engine (ms_signed_bfs.h) — one traversal per block,
-  /// blocks distributed over `threads` workers; such rows never set
-  /// `saturated` (the engine keeps no path counts). Other relations and
-  /// custom kernels fall back to scalar per-source computation via
-  /// ParallelForEach. threads == 0 resolves to the hardware concurrency /
-  /// TFSN_THREADS. Returns rows in source order.
+  /// publishes them to the shared cache. For SPA, SPO, SPM, DPE and NNE
+  /// with the stock kernel, two or more misses go through the bit-parallel
+  /// engine (ms_signed_bfs.h): they are split into equal blocks of at most
+  /// 64 sources, one traversal each, with at least one block per worker
+  /// while a block keeps 8 or more sources. Block rows equal the scalar
+  /// rows in comp and dist; SPM block rows also equal them in `saturated`
+  /// (lanes whose counts overflow the engine's bit planes are recomputed
+  /// scalar). SBP, SBPH, custom kernels (the threshold relation) and a lone
+  /// miss use the scalar kernel via ParallelForEach. threads == 0 resolves
+  /// to the hardware concurrency / TFSN_THREADS. Returns rows in source
+  /// order.
   ///
-  /// Note on `saturated` for SPA/SPO: a cached row reports the flag of
-  /// whichever path computed it first — true is possible only from a
-  /// scalar fetch (GetRow/Compatible/Distance), never from a batch — so
+  /// Note on `saturated` for SPA/SPO: block rows keep no counts and never
+  /// set it, while the scalar kernel sets it past 2^64 shortest paths, so a
+  /// cached row reports the flag of whichever path computed it first and
   /// aggregate rows_saturated counters are advisory for these relations.
-  /// Saturation cannot affect SPA/SPO comp/dist correctness either way;
-  /// the flag stays exact on the always-scalar SPM path, where it matters.
+  /// Saturation cannot affect SPA/SPO comp/dist either way; for SPM, where
+  /// it matters, the flag is exact on every path.
   std::vector<std::shared_ptr<const Row>> GetRows(
       std::span<const NodeId> sources, uint32_t threads = 1);
 
@@ -158,6 +161,17 @@ class CompatibilityOracle {
   /// other oracles sharing the cache do not count.
   uint64_t rows_computed() const {
     return rows_computed_.load(std::memory_order_relaxed);
+  }
+
+  /// Of rows_computed(), the rows GetRows computed in bit-parallel blocks.
+  uint64_t block_rows_computed() const {
+    return block_rows_.load(std::memory_order_relaxed);
+  }
+
+  /// SPM block lanes recomputed by the scalar kernel because a path count
+  /// overflowed the engine's bit planes (ms_signed_bfs.h).
+  uint64_t overflow_lanes_recomputed() const {
+    return overflow_lanes_.load(std::memory_order_relaxed);
   }
 
   /// The backing cache (shared or private); never null.
@@ -187,6 +201,10 @@ class CompatibilityOracle {
   /// shard lock — so relaxed is sufficient; the atomic only exists because
   /// GetRows' internal workers bump it concurrently.
   std::atomic<uint64_t> rows_computed_{0};
+  /// Same contract as rows_computed_: relaxed monotonic tallies bumped by
+  /// GetRows' block workers.
+  std::atomic<uint64_t> block_rows_{0};
+  std::atomic<uint64_t> overflow_lanes_{0};
   std::array<std::shared_ptr<const Row>, kPinnedRows> pins_;
   size_t pin_cursor_ = 0;
 };

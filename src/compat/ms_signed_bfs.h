@@ -8,31 +8,50 @@
 // all of their frontier work, and that packing one source per bit of a
 // machine word turns the sharing into plain word-wide OR/AND operations.
 //
-// The SPA and SPO relations only test the *existence* of a positive /
-// negative shortest path — never the saturating path counts — so two
-// bit-planes per node suffice:
+// Every lane word has one bit per source. Per node, the level-synchronous
+// traversal keeps
 //
-//   pos[x] bit i  — source i has a positive shortest path to x
-//   neg[x] bit i  — source i has a negative shortest path to x
-//   seen = pos | neg  — source i has reached x at all
+//   seen[x]   — sources that have reached x (their distance is settled)
+//   visit[x]  — sources that settled x at the previous level (the frontier)
+//   arrive[x] — sources arriving at x on this level
 //
-// Traversal is level-synchronous; traversing a negative edge swaps the two
-// planes (sign-flip propagation), exactly mirroring how Algorithm 1 routes
-// counts between N+ and N-. Per-(source, node) distances fall out of the
-// level at which a source's bit first sets. Dense frontiers switch to a
-// pull sweep over the not-yet-complete nodes (direction-optimizing BFS,
-// Beamer et al., SC 2012), which reads the compact SoA adjacency
-// sequentially.
+// An edge (u, x) carries the lanes visit[u] & ~seen[x]: exactly the
+// sources for which it lies on a shortest path to x. What travels with
+// those lanes depends on the relation:
 //
-// The engine reproduces the scalar row kernels bit-for-bit (comp and dist)
-// for SPA, SPO, DPE, and NNE; DPE/NNE only need the unsigned distance
-// plane plus a direct-neighbour scan. SPM and the threshold relation need
-// actual path counts and stay on the scalar kernels. Because no counts are
-// kept, batched rows never set CompatRow::saturated.
+//  * SPA and SPO only test the *existence* of a positive / negative
+//    shortest path, so two settled planes per node suffice (pos[x], neg[x]
+//    bit i: source i has a positive / negative shortest path to x).
+//  * SPM decides by the *counts* N+ and N- of Algorithm 1, so each node
+//    carries them bit-sliced: kMsBfsCountPlanes planes of N+ and of N-
+//    (plane k holds bit k of every lane's count), plus the number of planes
+//    in use. An edge does a masked ripple-carry add of the source node's
+//    planes into the target's. The majority test N- > N+ is an MSB-first
+//    bit-sliced compare.
+//  * DPE and NNE need only the unsigned distances plus a direct-neighbour
+//    scan.
+//
+// A negative edge swaps the positive and negative planes (sign-flip
+// propagation), exactly as Algorithm 1 routes counts between N+ and N-.
+// Per-(source, node) distances fall out of the level at which a source's
+// bit first sets. Dense frontiers switch to a pull sweep over the
+// not-yet-complete nodes (direction-optimizing BFS, Beamer et al.,
+// SC 2012), which reads the compact SoA adjacency sequentially.
+//
+// The engine reproduces the scalar row kernels bit-for-bit in comp and
+// dist for SPA, SPO, SPM, DPE and NNE. SPM rows match in `saturated` too:
+// a count that carries out of the top plane flags its lane, and the block
+// recomputes that lane with the scalar kernel, so a block row saturates
+// exactly when the scalar row does (at 2^64). The existence relations keep
+// no counts, so their block rows never set `saturated` (the scalar SPA/SPO
+// kernels can, on > 2^64 shortest paths; the flag never changes their comp
+// or dist). The threshold relation and custom kernels stay scalar.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,17 +63,52 @@ namespace tfsn {
 /// Sources per traversal: one per bit of the lane word.
 inline constexpr size_t kMsBfsBatchSize = 64;
 
+/// Bit planes per SPM path count: a lane whose N+ or N- reaches
+/// 2^kMsBfsCountPlanes anywhere is recomputed by the scalar kernel.
+inline constexpr uint32_t kMsBfsCountPlanes = 16;
+
 /// True when `kind`'s rows can be produced by the bit-parallel engine
-/// (SPA, SPO, DPE, NNE; the count-based SPM/threshold relations cannot).
+/// (SPA, SPO, SPM, DPE, NNE; not SBPH or SBP).
 bool MsBfsSupportsKind(CompatKind kind);
+
+/// Traversal buffers that one thread reuses across blocks, so a worker
+/// computing many blocks allocates once. The members are the engine's
+/// (ms_signed_bfs.cc); callers only construct one per worker and read
+/// overflow_lanes. SPM count planes are never cleared between blocks:
+/// planes at or above planes_used[x] read as 0.
+struct MsBfsScratch {
+  /// What an edge into a node reads and writes, in one place: the seen
+  /// lanes, and the lanes arriving this level over a positive (or
+  /// unsigned) and over a negative shortest path.
+  struct alignas(32) NodeLanes {
+    uint64_t seen = 0, arrive_pos = 0, arrive_neg = 0;
+  };
+  std::vector<NodeLanes> nodes;
+  /// SPM, DPE, NNE: the frontier lanes of every node.
+  std::vector<uint64_t> visit;
+  /// SPA/SPO: the frontier lanes' and the settled lanes' pos/neg planes,
+  /// each interleaved (pos at 2x, neg at 2x + 1).
+  std::vector<uint64_t> visit_signs, signs;
+  /// SPM: 2 * kMsBfsCountPlanes words per node for counts_nodes nodes,
+  /// N+ and N- planes interleaved (N+ plane k at 2k, N- plane k at
+  /// 2k + 1). Left uninitialized.
+  std::unique_ptr<uint64_t[]> counts;
+  size_t counts_nodes = 0;
+  std::vector<uint8_t> planes_used;
+  /// SPM lanes recomputed by the scalar kernel after a count overflowed,
+  /// summed over every block computed with this scratch.
+  uint64_t overflow_lanes = 0;
+};
 
 /// Computes the rows of `sources` (1 .. kMsBfsBatchSize of them, duplicates
 /// allowed) in one bit-parallel traversal. Rows are returned in source
 /// order and are bit-identical to ComputeCompatRow(g, kind, {}, q) in comp
-/// and dist; `saturated` is always false (the engine keeps no counts).
-/// Requires MsBfsSupportsKind(kind). O(n + m) words of scratch.
+/// and dist, and for SPM in saturated (see above). Requires
+/// MsBfsSupportsKind(kind). `scratch` (may be null) supplies reusable
+/// buffers: O(n) words, plus 2 * kMsBfsCountPlanes words per node for SPM.
 std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
                                              CompatKind kind,
-                                             std::span<const NodeId> sources);
+                                             std::span<const NodeId> sources,
+                                             MsBfsScratch* scratch = nullptr);
 
 }  // namespace tfsn

@@ -9,10 +9,17 @@
 // each path's sign, a negative edge flips it.
 //
 // Shortest-path *counts* can grow combinatorially, so N+/N- use saturating
-// uint64 arithmetic. Saturation can in principle distort the SPM majority
-// test on adversarial dense graphs; it is unreachable on the social-network
-// scales this library targets (counts fit easily), and SPA/SPO only test
-// count positivity, which saturation never changes.
+// uint64 arithmetic, and `saturated` reports when a counter hit the limit.
+// Saturation can in principle distort the SPM majority test on adversarial
+// graphs — a layered ladder whose counts double at each of more than 64
+// layers gets there (tests/ms_signed_bfs_test.cc) — while SPA/SPO only
+// test count positivity, which saturation never changes. On the
+// social-network scales this library targets counts stay small: on the
+// Epinions-like fixture (n = 14,427 and 28,854) no count needed more than
+// 9 bits, so the bit-parallel SPM engine's 16 count planes
+// (ms_signed_bfs.h) never overflowed there. That engine recomputes any lane
+// that does overflow with this kernel, so its rows saturate exactly when
+// these do.
 
 #pragma once
 
@@ -33,7 +40,8 @@ struct SignedBfsResult {
   /// N-(x): number of negative shortest q-x paths (saturating).
   std::vector<uint64_t> num_neg;
 
-  /// True when any counter saturated (result still sound for SPA/SPO).
+  /// True when any counter saturated (result still sound for SPA/SPO; the
+  /// SPM majority test may be distorted).
   bool saturated = false;
 };
 

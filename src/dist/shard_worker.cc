@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "src/compat/ms_signed_bfs.h"
 #include "src/team/greedy.h"
 #include "src/team/task_view.h"
 #include "src/util/fault_injection.h"
@@ -102,10 +103,13 @@ void ShardWorker::HandleFormBegin(const Message& msg) {
   for (uint32_t i = 0; i < mine.size(); ++i) local_index_[mine[i]] = i;
 
   // Prewarm the owned slice of the row working set through the batch row
-  // engine; bounded pinning, misses computed in parallel.
+  // engine, one full block per thread; bounded pinning, misses computed in
+  // parallel.
   if (!mine.empty()) {
-    oracle_->StreamRows(mine, std::max<uint32_t>(1, options_.prewarm_threads),
-                        [](size_t, const CompatibilityOracle::Row&) {});
+    const uint32_t threads = std::max<uint32_t>(1, options_.prewarm_threads);
+    oracle_->StreamRows(mine, threads,
+                        [](size_t, const CompatibilityOracle::Row&) {},
+                        kMsBfsBatchSize * threads);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "src/compat/ms_signed_bfs.h"
 #include "src/util/fault_injection.h"
 #include "src/util/logging.h"
 
@@ -226,12 +227,14 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
     view->BuildPairClosure();
   } else if (threads > 0) {
     // Batched cache prewarm: each chunk's misses are computed in parallel
-    // — 64-way bit-parallel where the relation allows — and published to
-    // the shared row cache, then the chunk's pins are dropped before the
-    // next so peak memory stays at one batch of full-length rows. The
-    // dense rows themselves fill lazily from these cached rows.
+    // — 64-way bit-parallel where the relation allows, one full block per
+    // thread — and published to the shared row cache, then the chunk's
+    // pins are dropped before the next so peak memory stays at one batch
+    // of full-length rows. The dense rows themselves fill lazily from
+    // these cached rows.
     oracle->StreamRows(view->universe_, threads,
-                       [](size_t, const CompatibilityOracle::Row&) {});
+                       [](size_t, const CompatibilityOracle::Row&) {},
+                       kMsBfsBatchSize * threads);
   }
   return view;
 }

@@ -1,13 +1,16 @@
 // Bit-parallel multi-source signed BFS (ms_signed_bfs.h) vs the scalar row
-// kernels: randomized equivalence on Erdős–Rényi and generator-family
+// kernels: exhaustive equivalence on every labelled signed graph with at
+// most 5 nodes, randomized equivalence on Erdős–Rényi and generator-family
 // graphs across batch sizes (1, 63, 64, and >64 through the oracle's block
-// grouping), ragged tails (n < 64), distance equality, and the
-// saturation-flag semantics of batched rows.
+// split), ragged tails (n < 64), duplicate sources, distance equality, the
+// SPM count planes' overflow recomputation on a path-doubling ladder, and
+// the saturation-flag semantics of batched rows.
 
 #include "src/compat/ms_signed_bfs.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/compat/compatibility.h"
@@ -21,26 +24,58 @@ namespace tfsn {
 namespace {
 
 constexpr CompatKind kBatchKinds[] = {CompatKind::kSPA, CompatKind::kSPO,
-                                      CompatKind::kDPE, CompatKind::kNNE};
+                                      CompatKind::kSPM, CompatKind::kDPE,
+                                      CompatKind::kNNE};
 
+// Block rows equal scalar rows in comp and dist; SPM rows (the engine's
+// only counting relation) also in the saturated flag.
 void ExpectRowsEqual(const CompatRow& batched, const CompatRow& scalar,
                      CompatKind kind, NodeId q) {
   EXPECT_EQ(batched.comp, scalar.comp)
       << CompatKindName(kind) << " comp mismatch, source " << q;
   EXPECT_EQ(batched.dist, scalar.dist)
       << CompatKindName(kind) << " dist mismatch, source " << q;
+  if (kind == CompatKind::kSPM) {
+    EXPECT_EQ(batched.saturated, scalar.saturated)
+        << "SPM saturated mismatch, source " << q;
+  }
 }
 
 // Compares one block against per-source scalar kernel rows.
 void CheckBlock(const SignedGraph& g, CompatKind kind,
-                const std::vector<NodeId>& sources) {
+                const std::vector<NodeId>& sources,
+                MsBfsScratch* scratch = nullptr) {
   RowKernelParams params;
-  auto rows = ComputeCompatRowBlock(g, kind, sources);
+  auto rows = ComputeCompatRowBlock(g, kind, sources, scratch);
   ASSERT_EQ(rows.size(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     CompatRow scalar = ComputeCompatRow(g, kind, params, sources[i]);
     ExpectRowsEqual(rows[i], scalar, kind, sources[i]);
   }
+}
+
+// A layered complete-bipartite ladder: a root, then `layers` layers of
+// `width` nodes with every node joined to every node of the next layer.
+// The root's shortest-path count to a layer-k node is width^(k-1). Signs
+// follow a fixed pattern so both N+ and N- grow.
+SignedGraph Ladder(uint32_t layers, uint32_t width) {
+  SignedGraphBuilder b(1 + layers * width);
+  auto node = [width](uint32_t layer, uint32_t j) {
+    return static_cast<NodeId>(1 + layer * width + j);
+  };
+  for (uint32_t j = 0; j < width; ++j) {
+    b.AddEdge(0, node(0, j), Sign::kPositive).CheckOK();
+  }
+  for (uint32_t layer = 0; layer + 1 < layers; ++layer) {
+    for (uint32_t a = 0; a < width; ++a) {
+      for (uint32_t c = 0; c < width; ++c) {
+        const Sign sign =
+            (layer + a + 2 * c) % 3 == 0 ? Sign::kNegative : Sign::kPositive;
+        b.AddEdge(node(layer, a), node(layer + 1, c), sign).CheckOK();
+      }
+    }
+  }
+  return std::move(b.Build()).ValueOrDie();
 }
 
 std::vector<NodeId> SampleSources(const SignedGraph& g, size_t count,
@@ -53,14 +88,57 @@ std::vector<NodeId> SampleSources(const SignedGraph& g, size_t count,
   return sources;
 }
 
-TEST(MsSignedBfsTest, SupportsExistenceKindsOnly) {
+TEST(MsSignedBfsTest, SupportsShortestPathAndDirectEdgeKinds) {
+  // Every relation decided by shortest paths (existence or counts) or by
+  // direct edges runs in blocks; the balanced-path searches do not.
   EXPECT_TRUE(MsBfsSupportsKind(CompatKind::kSPA));
   EXPECT_TRUE(MsBfsSupportsKind(CompatKind::kSPO));
+  EXPECT_TRUE(MsBfsSupportsKind(CompatKind::kSPM));
   EXPECT_TRUE(MsBfsSupportsKind(CompatKind::kDPE));
   EXPECT_TRUE(MsBfsSupportsKind(CompatKind::kNNE));
-  EXPECT_FALSE(MsBfsSupportsKind(CompatKind::kSPM));
   EXPECT_FALSE(MsBfsSupportsKind(CompatKind::kSBPH));
   EXPECT_FALSE(MsBfsSupportsKind(CompatKind::kSBP));
+}
+
+TEST(MsSignedBfsTest, MatchesScalarOnEverySignedGraphUpToFiveNodes) {
+  // Each of the n(n-1)/2 pairs is absent, positive or negative: 3^10
+  // graphs at n = 5, each run from all sources in one block plus a
+  // duplicate of node 0. SPM, the counting relation, runs on all of them;
+  // the other relations share its traversal and run up to n = 4.
+  MsBfsScratch scratch;
+  for (uint32_t n = 1; n <= 5; ++n) {
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
+    }
+    std::vector<NodeId> sources;
+    for (NodeId u = 0; u < n; ++u) sources.push_back(u);
+    sources.push_back(0);
+    uint64_t graphs = 1;
+    for (size_t i = 0; i < pairs.size(); ++i) graphs *= 3;
+    for (uint64_t code = 0; code < graphs; ++code) {
+      SignedGraphBuilder b(n);
+      uint64_t rest = code;
+      for (const auto& [u, v] : pairs) {
+        const uint64_t label = rest % 3;
+        rest /= 3;
+        if (label != 0) {
+          b.AddEdge(u, v, label == 1 ? Sign::kPositive : Sign::kNegative)
+              .CheckOK();
+        }
+      }
+      SignedGraph g = std::move(b.Build()).ValueOrDie();
+      for (CompatKind kind : kBatchKinds) {
+        if (n == 5 && kind != CompatKind::kSPM) continue;
+        CheckBlock(g, kind, sources, &scratch);
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "n=" << n << " graph code " << code << " kind "
+                 << CompatKindName(kind);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(scratch.overflow_lanes, 0u);
 }
 
 TEST(MsSignedBfsTest, MatchesScalarOnErdosRenyiAcrossBatchSizes) {
@@ -84,6 +162,38 @@ TEST(MsSignedBfsTest, MatchesScalarOnGeneratorFamilies) {
     for (CompatKind kind : kBatchKinds) {
       CheckBlock(g, kind, SampleSources(g, 64, &rng));
     }
+  }
+}
+
+TEST(MsSignedBfsTest, SpmMatchesScalarOnGeneratorFamiliesAcrossTails) {
+  // One scratch across every block: stale count planes from earlier
+  // blocks (and larger graphs) must never leak into later rows.
+  Rng rng(23);
+  std::vector<SignedGraph> graphs;
+  graphs.push_back(RandomPreferentialAttachment(300, 1500, 0.25, &rng));
+  graphs.push_back(PlantedPartitionSigned(160, 640, 0.1, &rng));
+  graphs.push_back(SmallWorldSigned(200, 8, 0.2, 0.35, &rng));
+  graphs.push_back(RandomBalancedGraph(120, 480, &rng));
+  MsBfsScratch scratch;
+  for (const SignedGraph& g : graphs) {
+    for (size_t lanes : {size_t{1}, size_t{63}, size_t{64}}) {
+      CheckBlock(g, CompatKind::kSPM, SampleSources(g, lanes, &rng), &scratch);
+    }
+    // Duplicates: one source in many lanes next to distinct ones.
+    std::vector<NodeId> dup = SampleSources(g, 40, &rng);
+    for (size_t i = 0; i < 24; ++i) dup.push_back(dup[i % 3]);
+    CheckBlock(g, CompatKind::kSPM, dup, &scratch);
+    // 65 lanes: two blocks through the oracle's split.
+    auto oracle = MakeOracle(g, CompatKind::kSPM);
+    std::vector<NodeId> sources = SampleSources(g, 65, &rng);
+    auto rows = oracle->GetRows(sources, /*threads=*/1);
+    RowKernelParams params;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      ExpectRowsEqual(*rows[i],
+                      ComputeCompatRow(g, CompatKind::kSPM, params, sources[i]),
+                      CompatKind::kSPM, sources[i]);
+    }
+    EXPECT_EQ(oracle->block_rows_computed(), oracle->rows_computed());
   }
 }
 
@@ -149,18 +259,51 @@ TEST(MsSignedBfsTest, SignFlipPropagation) {
   for (CompatKind kind : kBatchKinds) CheckBlock(g, kind, sources);
 }
 
-TEST(MsSignedBfsTest, BatchedRowsNeverSaturate) {
-  // The engine tracks path existence, not counts, so batched rows are
-  // exact and never set the saturated flag — even where the scalar
-  // counting kernel would remain unsaturated too; the flag's semantics
-  // ("a count overflowed") simply cannot trigger.
+TEST(MsSignedBfsTest, BatchedSaturationFlagMatchesScalar) {
+  // On an ordinary graph no count comes near the planes' limit: no lane
+  // is recomputed, and no row — existence or SPM — is flagged.
   Rng rng(43);
   SignedGraph g = RandomConnectedGnm(100, 400, 0.3, &rng);
   std::vector<NodeId> sources = SampleSources(g, 64, &rng);
+  MsBfsScratch scratch;
   for (CompatKind kind : kBatchKinds) {
-    auto rows = ComputeCompatRowBlock(g, kind, sources);
+    auto rows = ComputeCompatRowBlock(g, kind, sources, &scratch);
     for (const CompatRow& row : rows) EXPECT_FALSE(row.saturated);
   }
+  EXPECT_EQ(scratch.overflow_lanes, 0u);
+  // Past 2^64 shortest paths the scalar SPM row saturates, and so does
+  // the block row (its lane overflowed the planes and was recomputed).
+  // The existence relations keep no counts: their block rows stay
+  // unflagged while comp and dist still match.
+  SignedGraph ladder = Ladder(/*layers=*/70, /*width=*/2);
+  const std::vector<NodeId> root = {0};
+  auto spm = ComputeCompatRowBlock(ladder, CompatKind::kSPM, root, &scratch);
+  EXPECT_TRUE(spm[0].saturated);
+  EXPECT_TRUE(ComputeSpmRow(ladder, RowKernelParams{}, 0).saturated);
+  for (CompatKind kind : {CompatKind::kSPA, CompatKind::kSPO}) {
+    auto rows = ComputeCompatRowBlock(ladder, kind, root);
+    EXPECT_FALSE(rows[0].saturated);
+    CheckBlock(ladder, kind, root);
+  }
+}
+
+TEST(MsSignedBfsTest, SpmLanesPastTheCountPlanesAreRecomputedExactly) {
+  // 20 layers of width 2: the root's counts reach 2^19, beyond the 16
+  // planes, so its lane (and those of nearby sources) overflow and are
+  // recomputed, while the row stays exact and unsaturated.
+  SignedGraph g = Ladder(/*layers=*/20, /*width=*/2);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all[u] = u;
+  MsBfsScratch scratch;
+  CheckBlock(g, CompatKind::kSPM, all, &scratch);
+  EXPECT_GT(scratch.overflow_lanes, 0u);
+  EXPECT_LT(scratch.overflow_lanes, all.size());
+  // Past 2^64: 70 layers. Block and scalar rows agree, saturated included.
+  SignedGraph deep = Ladder(/*layers=*/70, /*width=*/2);
+  const std::vector<NodeId> ends = {0, 1, 2, deep.num_nodes() - 1};
+  const uint64_t before = scratch.overflow_lanes;
+  CheckBlock(deep, CompatKind::kSPM, ends, &scratch);
+  EXPECT_EQ(scratch.overflow_lanes, before + ends.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -205,9 +348,9 @@ TEST(MsSignedBfsOracleTest, GetRowsBatchSizesOneThrough65) {
   }
 }
 
-TEST(MsSignedBfsOracleTest, CountBasedKindsKeepScalarPathAndSemantics) {
-  // SPM needs majority counts: GetRows must not route it through the
-  // engine, and results must match the scalar kernel.
+TEST(MsSignedBfsOracleTest, SpmGetRowsRunsInBlocksAndMatchesScalar) {
+  // SPM's majority counts run in bit-parallel blocks; every row — comp,
+  // dist and saturated — matches the scalar kernel.
   Rng rng(59);
   SignedGraph g = RandomConnectedGnm(70, 220, 0.4, &rng);
   RowKernelParams params;
@@ -218,7 +361,60 @@ TEST(MsSignedBfsOracleTest, CountBasedKindsKeepScalarPathAndSemantics) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     CompatRow scalar = ComputeCompatRow(g, CompatKind::kSPM, params, u);
     ExpectRowsEqual(*rows[u], scalar, CompatKind::kSPM, u);
-    EXPECT_EQ(rows[u]->saturated, scalar.saturated);
+  }
+  EXPECT_EQ(oracle->rows_computed(), g.num_nodes());
+  EXPECT_EQ(oracle->block_rows_computed(), g.num_nodes());
+  // A lone miss and custom kernels stay scalar.
+  auto lone = MakeOracle(g, CompatKind::kSPM);
+  lone->GetRows(std::vector<NodeId>{3}, /*threads=*/2);
+  EXPECT_EQ(lone->rows_computed(), 1u);
+  EXPECT_EQ(lone->block_rows_computed(), 0u);
+  RowKernelParams threshold;
+  threshold.threshold_theta = 0.5;
+  CompatibilityOracle custom(g, CompatKind::kSPM, &ComputeThresholdRow,
+                             threshold);
+  custom.GetRows(sources, /*threads=*/2);
+  EXPECT_EQ(custom.rows_computed(), g.num_nodes());
+  EXPECT_EQ(custom.block_rows_computed(), 0u);
+}
+
+TEST(MsSignedBfsOracleTest, GetRowsGivesEveryWorkerABlock) {
+  // 128 distinct misses on 4 threads split into 4 blocks of 32 (not 2 of
+  // 64); cached sources and duplicates are not recomputed.
+  Rng rng(61);
+  SignedGraph g = RandomPreferentialAttachment(400, 2000, 0.3, &rng);
+  RowKernelParams params;
+  for (CompatKind kind : {CompatKind::kSPM, CompatKind::kSPA}) {
+    auto oracle = MakeOracle(g, kind);
+    oracle->GetRow(0);
+    oracle->GetRow(1);
+    std::vector<NodeId> sources = {0, 1};
+    for (NodeId u = 2; u < 130; ++u) sources.push_back(u);
+    for (NodeId u = 2; u < 12; ++u) sources.push_back(u);
+    const uint64_t before = oracle->rows_computed();
+    auto rows = oracle->GetRows(sources, /*threads=*/4);
+    EXPECT_EQ(oracle->rows_computed() - before, 128u);
+    EXPECT_EQ(oracle->block_rows_computed(), 128u);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      ASSERT_NE(rows[i], nullptr);
+      ExpectRowsEqual(*rows[i], ComputeCompatRow(g, kind, params, sources[i]),
+                      kind, sources[i]);
+    }
+  }
+}
+
+TEST(MsSignedBfsOracleTest, GetRowsCountsRecomputedOverflowLanes) {
+  SignedGraph g = Ladder(/*layers=*/20, /*width=*/2);
+  auto oracle = MakeOracle(g, CompatKind::kSPM);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all[u] = u;
+  auto rows = oracle->GetRows(all, /*threads=*/3);
+  EXPECT_GT(oracle->overflow_lanes_recomputed(), 0u);
+  EXPECT_EQ(oracle->block_rows_computed(), all.size());
+  RowKernelParams params;
+  for (NodeId u : all) {
+    ExpectRowsEqual(*rows[u], ComputeCompatRow(g, CompatKind::kSPM, params, u),
+                    CompatKind::kSPM, u);
   }
 }
 
