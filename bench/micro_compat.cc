@@ -111,7 +111,7 @@ BatchMeasurement MeasureBatchVsScalar(const SignedGraph& g, CompatKind kind,
     if (rows.size() != block_of(off).size()) std::abort();
   }
   m.batch_seconds = batch_timer.Seconds();
-  m.overflow_lanes = scratch.overflow_lanes;
+  m.overflow_lanes = scratch.overflow_lanes();
 
   // The speedup counts only if the rows are the scalar rows: an untimed
   // second pass compares every block row with its scalar row.

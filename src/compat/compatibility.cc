@@ -132,6 +132,14 @@ uint32_t CompatibilityOracle::Distance(NodeId u, NodeId v) {
 std::vector<std::shared_ptr<const CompatibilityOracle::Row>>
 CompatibilityOracle::GetRows(std::span<const NodeId> sources,
                              uint32_t threads) {
+  const uint32_t workers = ResolveThreads(threads);
+  auto scratch = std::make_unique<MsBfsScratch[]>(workers);
+  return GetRowsWith(sources, workers, scratch.get());
+}
+
+std::vector<std::shared_ptr<const CompatibilityOracle::Row>>
+CompatibilityOracle::GetRowsWith(std::span<const NodeId> sources,
+                                 uint32_t workers, MsBfsScratch* scratch) {
   std::vector<std::shared_ptr<const Row>> out(sources.size());
   std::vector<size_t> missed;
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -162,14 +170,14 @@ CompatibilityOracle::GetRows(std::span<const NodeId> sources,
                          MsBfsSupportsKind(kind_) && work.size() > 1;
   if (batchable) {
     const size_t misses = work.size();
-    const uint32_t workers = ResolveThreads(threads);
     auto ceil_div = [](size_t a, size_t b) { return (a + b - 1) / b; };
     const size_t blocks =
         std::max(ceil_div(misses, kMsBfsBatchSize),
                  std::min<size_t>(workers, ceil_div(misses, kMinBlockLanes)));
     // Blocks are equal, so a static split over the workers balances.
-    ParallelFor(blocks, workers, [&](uint32_t, uint64_t first, uint64_t last) {
-      MsBfsScratch scratch;
+    ParallelFor(blocks, workers, [&](uint32_t w, uint64_t first,
+                                     uint64_t last) {
+      const uint64_t overflow_before = scratch[w].overflow_lanes();
       std::vector<NodeId> block;
       std::vector<size_t> out_index;
       for (uint64_t b = first; b < last; ++b) {
@@ -191,7 +199,7 @@ CompatibilityOracle::GetRows(std::span<const NodeId> sources,
         }
         if (block.empty()) continue;
         std::vector<Row> rows =
-            ComputeCompatRowBlock(*graph_, kind_, block, &scratch);
+            ComputeCompatRowBlock(*graph_, kind_, block, &scratch[w]);
         rows_computed_.fetch_add(block.size(), std::memory_order_relaxed);
         block_rows_.fetch_add(block.size(), std::memory_order_relaxed);
         for (size_t k = 0; k < block.size(); ++k) {
@@ -199,14 +207,15 @@ CompatibilityOracle::GetRows(std::span<const NodeId> sources,
               cache_->Insert(KeyFor(block[k]), std::move(rows[k]));
         }
       }
-      overflow_lanes_.fetch_add(scratch.overflow_lanes,
-                                std::memory_order_relaxed);
+      overflow_lanes_.fetch_add(
+          scratch[w].overflow_lanes() - overflow_before,
+          std::memory_order_relaxed);
     });
   } else {
     // Dynamic scheduling: per-row cost varies (SBP rows are far heavier
     // than plain BFS rows), and the kernels are pure, so workers only
     // contend on cache shard mutexes.
-    ParallelForEach(work.size(), ResolveThreads(threads), [&](uint64_t w) {
+    ParallelForEach(work.size(), workers, [&](uint64_t w) {
       const size_t i = work[w];
       const NodeId q = sources[i];
       const uint64_t key = KeyFor(q);
@@ -232,9 +241,13 @@ void CompatibilityOracle::StreamRows(
     std::span<const NodeId> sources, uint32_t threads,
     const std::function<void(size_t, const Row&)>& consume, size_t batch) {
   TFSN_CHECK_GT(batch, size_t{0});
+  // One scratch per worker for the whole stream: the block buffers are
+  // mapped once, not once per batch.
+  const uint32_t workers = ResolveThreads(threads);
+  auto scratch = std::make_unique<MsBfsScratch[]>(workers);
   for (size_t off = 0; off < sources.size(); off += batch) {
     const size_t len = std::min(batch, sources.size() - off);
-    auto rows = GetRows(sources.subspan(off, len), threads);
+    auto rows = GetRowsWith(sources.subspan(off, len), workers, scratch.get());
     for (size_t i = 0; i < len; ++i) consume(off + i, *rows[i]);
     // `rows` goes out of scope here: the batch's pins are released before
     // the next fetch, bounding peak pinned memory.

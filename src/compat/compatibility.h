@@ -35,6 +35,8 @@
 
 namespace tfsn {
 
+class MsBfsScratch;  // ms_signed_bfs.h
+
 /// Tuning knobs for an oracle and its (private) cache.
 struct OracleParams {
   /// Row-count cap for the oracle's private cache (LRU eviction). Ignored
@@ -184,6 +186,11 @@ class CompatibilityOracle {
 
  private:
   std::shared_ptr<const Row> FetchRow(NodeId q);
+  /// GetRows on `workers` resolved workers, worker w computing its blocks
+  /// with scratch[w].
+  std::vector<std::shared_ptr<const Row>> GetRowsWith(
+      std::span<const NodeId> sources, uint32_t workers,
+      MsBfsScratch* scratch);
   uint64_t KeyFor(NodeId q) const { return key_base_ | q; }
 
   const SignedGraph* graph_;

@@ -1,7 +1,10 @@
 #include "src/compat/ms_signed_bfs.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 
 #include "src/graph/bfs.h"
@@ -24,7 +27,75 @@ bool MsBfsSupportsKind(CompatKind kind) {
 
 namespace {
 
-using NodeLanes = MsBfsScratch::NodeLanes;
+// What an edge into a node reads and writes, in one place: the seen lanes,
+// and the lanes arriving this level over a positive (or unsigned) and over
+// a negative shortest path.
+struct alignas(32) NodeLanes {
+  uint64_t seen = 0, arrive_pos = 0, arrive_neg = 0;
+};
+
+// A growable array of trivially copyable T in pages mapped from the kernel
+// (zero-filled when first mapped) and unmapped on destruction; see
+// MsBfsScratch for why the engine keeps its buffers out of malloc.
+template <typename T>
+class PageArray {
+ public:
+  PageArray() = default;
+  PageArray(const PageArray&) = delete;
+  PageArray& operator=(const PageArray&) = delete;
+  ~PageArray() { Unmap(); }
+
+  // Room for n elements; contents are kept only while no remap is needed.
+  T* Reserve(size_t n) {
+    if (n > capacity_) {
+      Unmap();
+      void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      TFSN_CHECK(p != MAP_FAILED);
+      data_ = static_cast<T*>(p);
+      capacity_ = n;
+    }
+    return data_;
+  }
+
+  // Room for n elements, all set to T{}.
+  T* Zeroed(size_t n) {
+    T* p = Reserve(n);
+    std::uninitialized_fill_n(p, n, T{});
+    return p;
+  }
+
+ private:
+  void Unmap() {
+    if (data_ != nullptr) ::munmap(data_, capacity_ * sizeof(T));
+    data_ = nullptr;
+    capacity_ = 0;
+  }
+
+  T* data_ = nullptr;
+  size_t capacity_ = 0;
+};
+
+}  // namespace
+
+struct MsBfsScratch::Buffers {
+  PageArray<NodeLanes> nodes;
+  // SPM, DPE, NNE: the frontier lanes of every node.
+  PageArray<uint64_t> visit;
+  // SPA/SPO: the frontier lanes' and the settled lanes' pos/neg planes,
+  // each interleaved (pos at 2x, neg at 2x + 1).
+  PageArray<uint64_t> visit_signs, signs;
+  // SPM: 2 * kMsBfsCountPlanes words per node, N+ and N- planes
+  // interleaved (N+ plane k at 2k, N- plane k at 2k + 1), never cleared:
+  // planes at or above planes_used[x] read as 0.
+  PageArray<uint64_t> counts;
+  PageArray<uint8_t> planes_used;
+};
+
+MsBfsScratch::MsBfsScratch() : buffers_(std::make_unique<Buffers>()) {}
+MsBfsScratch::~MsBfsScratch() = default;
+
+namespace {
 
 // What travels with the lanes that take an edge. Each policy owns the
 // frontier and provides
@@ -295,8 +366,8 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
 
   MsBfsScratch local;
   MsBfsScratch* s = scratch != nullptr ? scratch : &local;
-  s->nodes.assign(n, NodeLanes{});
-  NodeLanes* nodes = s->nodes.data();
+  MsBfsScratch::Buffers& b = *s->buffers_;
+  NodeLanes* nodes = b.nodes.Zeroed(n);
 
   const uint8_t comp_default = kind == CompatKind::kNNE ? 1 : 0;
   std::vector<CompatRow> rows(sources.size());
@@ -310,10 +381,9 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
   switch (kind) {
     case CompatKind::kSPA:
     case CompatKind::kSPO: {
-      s->visit_signs.assign(2 * size_t{n}, 0);
-      s->signs.assign(2 * size_t{n}, 0);
-      const uint64_t* signs = s->signs.data();
-      SignLanes lanes{s->visit_signs.data(), s->signs.data()};
+      SignLanes lanes{b.visit_signs.Zeroed(2 * size_t{n}),
+                      b.signs.Zeroed(2 * size_t{n})};
+      const uint64_t* signs = lanes.signs;
       Traverse(g, sources, nodes, &lanes, &rows);
       if (kind == CompatKind::kSPA) {
         // All shortest paths positive: a positive one exists, none negative.
@@ -331,18 +401,12 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
       break;
     }
     case CompatKind::kSPM: {
-      if (s->counts_nodes < n) {
-        // Uninitialized on purpose: a node's planes are written before
-        // they are read (see CountLanes), so no block clears them.
-        s->counts.reset(new uint64_t[size_t{n} * CountLanes::kWords]);
-        s->counts_nodes = n;
-      }
-      s->planes_used.assign(n, 0);
-      s->visit.assign(n, 0);
       CountLanes lanes;
-      lanes.visit = s->visit.data();
-      lanes.counts = s->counts.get();
-      lanes.used = s->planes_used.data();
+      lanes.visit = b.visit.Zeroed(n);
+      // Not cleared: a node's planes are written before they are read
+      // (see CountLanes).
+      lanes.counts = b.counts.Reserve(size_t{n} * CountLanes::kWords);
+      lanes.used = b.planes_used.Zeroed(n);
       Traverse(g, sources, nodes, &lanes, &rows);
       // Majority: reached, and N- does not exceed N+.
       MarkCompatible(
@@ -354,14 +418,13 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
       for (uint64_t m = lanes.overflow; m != 0; m &= m - 1) {
         const size_t i = static_cast<size_t>(std::countr_zero(m));
         rows[i] = ComputeSpmRow(g, RowKernelParams{}, sources[i]);
-        ++s->overflow_lanes;
+        ++s->overflow_lanes_;
       }
       break;
     }
     case CompatKind::kDPE:
     case CompatKind::kNNE: {
-      s->visit.assign(n, 0);
-      VisitLanes lanes{s->visit.data()};
+      VisitLanes lanes{b.visit.Zeroed(n)};
       Traverse(g, sources, nodes, &lanes, &rows);
       const uint8_t direct = kind == CompatKind::kDPE ? 1 : 0;
       const Sign sign =

@@ -71,34 +71,7 @@ inline constexpr uint32_t kMsBfsCountPlanes = 16;
 /// (SPA, SPO, SPM, DPE, NNE; not SBPH or SBP).
 bool MsBfsSupportsKind(CompatKind kind);
 
-/// Traversal buffers that one thread reuses across blocks, so a worker
-/// computing many blocks allocates once. The members are the engine's
-/// (ms_signed_bfs.cc); callers only construct one per worker and read
-/// overflow_lanes. SPM count planes are never cleared between blocks:
-/// planes at or above planes_used[x] read as 0.
-struct MsBfsScratch {
-  /// What an edge into a node reads and writes, in one place: the seen
-  /// lanes, and the lanes arriving this level over a positive (or
-  /// unsigned) and over a negative shortest path.
-  struct alignas(32) NodeLanes {
-    uint64_t seen = 0, arrive_pos = 0, arrive_neg = 0;
-  };
-  std::vector<NodeLanes> nodes;
-  /// SPM, DPE, NNE: the frontier lanes of every node.
-  std::vector<uint64_t> visit;
-  /// SPA/SPO: the frontier lanes' and the settled lanes' pos/neg planes,
-  /// each interleaved (pos at 2x, neg at 2x + 1).
-  std::vector<uint64_t> visit_signs, signs;
-  /// SPM: 2 * kMsBfsCountPlanes words per node for counts_nodes nodes,
-  /// N+ and N- planes interleaved (N+ plane k at 2k, N- plane k at
-  /// 2k + 1). Left uninitialized.
-  std::unique_ptr<uint64_t[]> counts;
-  size_t counts_nodes = 0;
-  std::vector<uint8_t> planes_used;
-  /// SPM lanes recomputed by the scalar kernel after a count overflowed,
-  /// summed over every block computed with this scratch.
-  uint64_t overflow_lanes = 0;
-};
+class MsBfsScratch;
 
 /// Computes the rows of `sources` (1 .. kMsBfsBatchSize of them, duplicates
 /// allowed) in one bit-parallel traversal. Rows are returned in source
@@ -110,5 +83,33 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
                                              CompatKind kind,
                                              std::span<const NodeId> sources,
                                              MsBfsScratch* scratch = nullptr);
+
+/// Traversal buffers that one thread reuses across blocks, so a worker
+/// computing many blocks maps them once. The buffers are mapped straight
+/// from the kernel and unmapped on destruction: at paper scale they are
+/// megabytes, and a per-call worker that handed them back to malloc would
+/// leave them in the allocator's per-thread arenas (glibc also raises its
+/// mmap threshold on such a free), which measurably inflated peak RSS.
+/// Not thread-safe; use one per worker.
+class MsBfsScratch {
+ public:
+  MsBfsScratch();
+  ~MsBfsScratch();
+  MsBfsScratch(const MsBfsScratch&) = delete;
+  MsBfsScratch& operator=(const MsBfsScratch&) = delete;
+
+  /// SPM lanes recomputed by the scalar kernel after a count overflowed,
+  /// summed over every block computed with this scratch.
+  uint64_t overflow_lanes() const { return overflow_lanes_; }
+
+ private:
+  friend std::vector<CompatRow> ComputeCompatRowBlock(
+      const SignedGraph& g, CompatKind kind, std::span<const NodeId> sources,
+      MsBfsScratch* scratch);
+
+  struct Buffers;
+  std::unique_ptr<Buffers> buffers_;
+  uint64_t overflow_lanes_ = 0;
+};
 
 }  // namespace tfsn

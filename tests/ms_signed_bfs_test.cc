@@ -138,7 +138,7 @@ TEST(MsSignedBfsTest, MatchesScalarOnEverySignedGraphUpToFiveNodes) {
       }
     }
   }
-  EXPECT_EQ(scratch.overflow_lanes, 0u);
+  EXPECT_EQ(scratch.overflow_lanes(), 0u);
 }
 
 TEST(MsSignedBfsTest, MatchesScalarOnErdosRenyiAcrossBatchSizes) {
@@ -270,7 +270,7 @@ TEST(MsSignedBfsTest, BatchedSaturationFlagMatchesScalar) {
     auto rows = ComputeCompatRowBlock(g, kind, sources, &scratch);
     for (const CompatRow& row : rows) EXPECT_FALSE(row.saturated);
   }
-  EXPECT_EQ(scratch.overflow_lanes, 0u);
+  EXPECT_EQ(scratch.overflow_lanes(), 0u);
   // Past 2^64 shortest paths the scalar SPM row saturates, and so does
   // the block row (its lane overflowed the planes and was recomputed).
   // The existence relations keep no counts: their block rows stay
@@ -296,14 +296,14 @@ TEST(MsSignedBfsTest, SpmLanesPastTheCountPlanesAreRecomputedExactly) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) all[u] = u;
   MsBfsScratch scratch;
   CheckBlock(g, CompatKind::kSPM, all, &scratch);
-  EXPECT_GT(scratch.overflow_lanes, 0u);
-  EXPECT_LT(scratch.overflow_lanes, all.size());
+  EXPECT_GT(scratch.overflow_lanes(), 0u);
+  EXPECT_LT(scratch.overflow_lanes(), all.size());
   // Past 2^64: 70 layers. Block and scalar rows agree, saturated included.
   SignedGraph deep = Ladder(/*layers=*/70, /*width=*/2);
   const std::vector<NodeId> ends = {0, 1, 2, deep.num_nodes() - 1};
-  const uint64_t before = scratch.overflow_lanes;
+  const uint64_t before = scratch.overflow_lanes();
   CheckBlock(deep, CompatKind::kSPM, ends, &scratch);
-  EXPECT_EQ(scratch.overflow_lanes, before + ends.size());
+  EXPECT_EQ(scratch.overflow_lanes(), before + ends.size());
 }
 
 // ---------------------------------------------------------------------------
