@@ -183,9 +183,9 @@ CompatibilityOracle::GetRowsWith(std::span<const NodeId> sources,
       for (uint64_t b = first; b < last; ++b) {
         block.clear();
         out_index.clear();
-        for (size_t w = b * misses / blocks; w < (b + 1) * misses / blocks;
-             ++w) {
-          const size_t i = work[w];
+        for (size_t j = b * misses / blocks; j < (b + 1) * misses / blocks;
+             ++j) {
+          const size_t i = work[j];
           const NodeId q = sources[i];
           // Re-probe (uncounted) before paying for the traversal: a
           // concurrent sharer may have published the row since the probe

@@ -92,7 +92,7 @@ struct MsBfsScratch::Buffers {
   PageArray<uint8_t> planes_used;
 };
 
-MsBfsScratch::MsBfsScratch() : buffers_(std::make_unique<Buffers>()) {}
+MsBfsScratch::MsBfsScratch() = default;
 MsBfsScratch::~MsBfsScratch() = default;
 
 namespace {
@@ -366,6 +366,9 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
 
   MsBfsScratch local;
   MsBfsScratch* s = scratch != nullptr ? scratch : &local;
+  if (s->buffers_ == nullptr) {
+    s->buffers_ = std::make_unique<MsBfsScratch::Buffers>();
+  }
   MsBfsScratch::Buffers& b = *s->buffers_;
   NodeLanes* nodes = b.nodes.Zeroed(n);
 

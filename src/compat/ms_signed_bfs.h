@@ -85,12 +85,12 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
                                              MsBfsScratch* scratch = nullptr);
 
 /// Traversal buffers that one thread reuses across blocks, so a worker
-/// computing many blocks maps them once. The buffers are mapped straight
-/// from the kernel and unmapped on destruction: at paper scale they are
-/// megabytes, and a per-call worker that handed them back to malloc would
-/// leave them in the allocator's per-thread arenas (glibc also raises its
-/// mmap threshold on such a free), which measurably inflated peak RSS.
-/// Not thread-safe; use one per worker.
+/// computing many blocks maps them once (on its first block). They are
+/// mapped straight from the kernel and unmapped on destruction: at paper
+/// scale they are megabytes, and short-lived workers handing them back to
+/// malloc left them in the allocator's per-thread arenas (glibc also
+/// raises its mmap threshold on such a free), which measurably inflated
+/// peak RSS. Not thread-safe; use one per worker.
 class MsBfsScratch {
  public:
   MsBfsScratch();

@@ -56,8 +56,8 @@ void CheckBlock(const SignedGraph& g, CompatKind kind,
 
 // A layered complete-bipartite ladder: a root, then `layers` layers of
 // `width` nodes with every node joined to every node of the next layer.
-// The root's shortest-path count to a layer-k node is width^(k-1). Signs
-// follow a fixed pattern so both N+ and N- grow.
+// The root's shortest-path count to a node of layer k (from 0) is
+// width^k. Signs follow a fixed pattern so both N+ and N- grow.
 SignedGraph Ladder(uint32_t layers, uint32_t width) {
   SignedGraphBuilder b(1 + layers * width);
   auto node = [width](uint32_t layer, uint32_t j) {
