@@ -66,6 +66,7 @@ struct BatchMeasurement {
   double scalar_seconds = 0.0;
   double batch_seconds = 0.0;
   uint64_t overflow_lanes = 0;  // SPM lanes recomputed scalar
+  double row_bytes = 0.0;       // mean CompatRow::ByteSize() of block rows
 
   double scalar_rows_per_sec() const {
     return scalar_seconds > 0 ? sources / scalar_seconds : 0.0;
@@ -114,10 +115,13 @@ BatchMeasurement MeasureBatchVsScalar(const SignedGraph& g, CompatKind kind,
   m.overflow_lanes = scratch.overflow_lanes();
 
   // The speedup counts only if the rows are the scalar rows: an untimed
-  // second pass compares every block row with its scalar row.
+  // second pass compares every block row with its scalar row, and sums
+  // the bytes a cache would charge for the block rows.
+  size_t row_bytes = 0;
   for (size_t off = 0; off < sources.size(); off += kMsBfsBatchSize) {
     auto rows = ComputeCompatRowBlock(g, kind, block_of(off), &scratch);
     for (size_t k = 0; k < rows.size(); ++k) {
+      row_bytes += rows[k].ByteSize();
       const CompatRow scalar =
           ComputeCompatRow(g, kind, params, sources[off + k]);
       if (rows[k].comp != scalar.comp || rows[k].dist != scalar.dist ||
@@ -128,6 +132,7 @@ BatchMeasurement MeasureBatchVsScalar(const SignedGraph& g, CompatKind kind,
       }
     }
   }
+  m.row_bytes = static_cast<double>(row_bytes) / m.sources;
   return m;
 }
 
@@ -140,18 +145,18 @@ void RunBatchSweep(bool quick, uint32_t num_sources, bench::JsonArrayWriter* jso
                                      : std::vector<int64_t>{1000, 10000, 30000};
   std::printf(
       "batch vs scalar row construction (single thread, %u sources)\n"
-      "%8s %9s %5s %14s %14s %9s\n",
+      "%8s %9s %5s %14s %14s %9s %10s\n",
       num_sources, "n", "edges", "kind", "scalar rows/s", "batch rows/s",
-      "speedup");
+      "speedup", "row bytes");
   for (int64_t n : sizes) {
     const SignedGraph& g = GraphOfSize(n);
     for (CompatKind kind :
          {CompatKind::kSPA, CompatKind::kSPO, CompatKind::kSPM}) {
       BatchMeasurement m = MeasureBatchVsScalar(g, kind, num_sources);
-      std::printf("%8u %9llu %5s %14.1f %14.1f %8.2fx\n", m.n,
+      std::printf("%8u %9llu %5s %14.1f %14.1f %8.2fx %10.0f\n", m.n,
                   static_cast<unsigned long long>(m.edges),
                   CompatKindName(m.kind), m.scalar_rows_per_sec(),
-                  m.batch_rows_per_sec(), m.speedup());
+                  m.batch_rows_per_sec(), m.speedup(), m.row_bytes);
       if (json != nullptr) {
         json->BeginObject();
         json->Field("bench", "micro_compat");
@@ -166,6 +171,7 @@ void RunBatchSweep(bool quick, uint32_t num_sources, bench::JsonArrayWriter* jso
         json->Field("scalar_rows_per_sec", m.scalar_rows_per_sec());
         json->Field("batch_rows_per_sec", m.batch_rows_per_sec());
         json->Field("speedup", m.speedup());
+        json->Field("row_bytes", m.row_bytes);
         json->Field("overflow_lanes", m.overflow_lanes);
         json->Field("identical", true);
         bench::HardwareFields(json);

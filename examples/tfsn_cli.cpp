@@ -28,7 +28,8 @@
 // (default; the oracle loop only when the view cannot be built) or the
 // pair-by-pair oracle reference. It prints the path taken: `view`,
 // `oracle`, or `oracle fallback` when the view could not be built (over
-// its byte budget, or an injected fault).
+// its byte budget, or an injected fault). `team` and `serve` also print
+// the row cache's occupancy: rows resident, MB charged, bytes per row.
 //
 // Robustness knobs (see README "Robustness"): `serve --deadline-ms=B`
 // stamps every generated request with a B-millisecond SLO budget;
@@ -153,6 +154,21 @@ std::shared_ptr<RowCache> CacheOf(const Flags& flags) {
   return std::make_shared<RowCache>(options);
 }
 
+// Occupancy of a row cache: rows resident, the bytes its budget charges
+// for them, and the mean per row (a flat row charges 1 comp byte plus 1, 2
+// or 4 distance bytes per node, so the distance width shows here).
+std::string CacheOccupancy(const RowCache& cache) {
+  const RowCacheStats stats = cache.stats();
+  char line[128];
+  std::snprintf(line, sizeof(line), "%zu rows resident, %.1f MB, %.0f B/row",
+                stats.rows_in_use, stats.bytes_in_use / (1024.0 * 1024.0),
+                stats.rows_in_use == 0
+                    ? 0.0
+                    : static_cast<double>(stats.bytes_in_use) /
+                          static_cast<double>(stats.rows_in_use));
+  return line;
+}
+
 CompatKind RelationOf(const Flags& flags) {
   CompatKind kind = CompatKind::kSPM;
   std::string name = flags.GetString("relation", "spm");
@@ -223,7 +239,8 @@ int CmdTeam(const Flags& flags) {
   const uint32_t threads = ThreadsOf(flags);
   // One shared row cache serves the index build, the greedy prefetch, and
   // the per-pair queries of the formation run.
-  auto oracle = MakeOracle(ds.graph, kind, OracleParams{}, CacheOf(flags));
+  auto cache = CacheOf(flags);
+  auto oracle = MakeOracle(ds.graph, kind, OracleParams{}, cache);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
   SkillCompatibilityIndex index(
       oracle.get(), ds.skills,
@@ -301,6 +318,7 @@ int CmdTeam(const Flags& flags) {
               " in blocks, %" PRIu64 " lanes recomputed\n",
               oracle->rows_computed(), oracle->block_rows_computed(),
               oracle->overflow_lanes_recomputed());
+  std::printf("row cache : %s\n", CacheOccupancy(*cache).c_str());
   if (teams.empty()) {
     std::printf("no compatible team found under %s\n", CompatKindName(kind));
     return 2;
@@ -471,9 +489,10 @@ int CmdServe(const Flags& flags) {
   std::printf("views     : %llu on the dense view, %llu oracle fallback(s)\n",
               static_cast<unsigned long long>(metrics.shared_view_batches),
               static_cast<unsigned long long>(metrics.fallback_batches));
-  std::printf("row cache : %.1f%% hit rate over %llu lookups\n",
+  std::printf("row cache : %.1f%% hit rate over %llu lookups; %s\n",
               cache_window.HitRate() * 100.0,
-              static_cast<unsigned long long>(cache_window.lookups()));
+              static_cast<unsigned long long>(cache_window.lookups()),
+              CacheOccupancy(*cache).c_str());
   if (cache->options().compress || cache->spill() != nullptr) {
     std::printf("tiers     : %.2f MB compressed resident, %llu spill reads, "
                 "%llu writes, %llu decodes (%.1f ms)\n",

@@ -40,7 +40,9 @@ class MsBfsScratch;  // ms_signed_bfs.h
 /// Tuning knobs for an oracle and its (private) cache.
 struct OracleParams {
   /// Row-count cap for the oracle's private cache (LRU eviction). Ignored
-  /// when a shared RowCache is supplied. A row costs ~5 bytes per node.
+  /// when a shared RowCache is supplied. A row costs 1 comp byte plus 1, 2
+  /// or 4 distance bytes per node (the narrowest width that holds its
+  /// distances; see RowDistances) — 2 bytes per node on typical graphs.
   size_t max_cached_rows = 2048;
   /// Optional byte budget for the private cache (0 = row cap only).
   size_t cache_bytes = 0;
@@ -131,7 +133,8 @@ class CompatibilityOracle {
   /// engine (ms_signed_bfs.h): they are split into equal blocks of at most
   /// 64 sources, one traversal each, with at least one block per worker
   /// while a block keeps 8 or more sources. Block rows equal the scalar
-  /// rows in comp and dist; SPM block rows also equal them in `saturated`
+  /// rows in comp and dist (and in the dist store's width); SPM block rows
+  /// also equal them in `saturated`
   /// (lanes whose counts overflow the engine's bit planes are recomputed
   /// scalar). SBP, SBPH, custom kernels (the threshold relation) and a lone
   /// miss use the scalar kernel via ParallelForEach. threads == 0 resolves

@@ -250,6 +250,10 @@ struct CountLanes : VisitLanes {
 // Runs the level-synchronous bit-parallel traversal shared by every
 // relation, writing per-lane distances into rows[lane].dist as bits first
 // set; `lanes` carries the relation's per-lane payload along the edges.
+// Rows start at 1 byte per distance; a lane's row widens in place on the
+// first level past 254 (or 65,534) that the lane reaches, so every row
+// leaves at the narrowest width of its own values whatever its
+// neighbouring lanes reach.
 template <typename Lanes>
 void Traverse(const SignedGraph& g, std::span<const NodeId> sources,
               NodeLanes* nodes, Lanes* lanes, std::vector<CompatRow>* rows) {
@@ -276,7 +280,7 @@ void Traverse(const SignedGraph& g, std::span<const NodeId> sources,
     }
     nodes[q].seen |= bit;
     lanes->Seed(q, bit);
-    (*rows)[i].dist[q] = 0;
+    (*rows)[i].dist.Set(q, 0);
   }
 
   uint32_t level = 0;
@@ -334,7 +338,7 @@ void Traverse(const SignedGraph& g, std::span<const NodeId> sources,
       next_frontier.push_back(x);
       frontier_degree += g.Degree(x);
       for (uint64_t m = fresh; m != 0; m &= m - 1) {
-        (*rows)[static_cast<size_t>(std::countr_zero(m))].dist[x] = level;
+        (*rows)[static_cast<size_t>(std::countr_zero(m))].dist.Set(x, level);
       }
     }
     frontier.swap(next_frontier);
@@ -376,7 +380,7 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
   std::vector<CompatRow> rows(sources.size());
   for (CompatRow& row : rows) {
     row.comp.assign(n, comp_default);
-    row.dist.assign(n, kUnreachable);
+    row.dist = RowDistances(n, kUnreachable);
   }
 
   // Project the settled lanes into per-row comp flags, matching the scalar
@@ -442,10 +446,11 @@ std::vector<CompatRow> ComputeCompatRowBlock(const SignedGraph& g,
     default:
       TFSN_CHECK(false);
   }
-  // Reflexivity normalization (Section 2 axioms), as in NormalizeSelf.
+  // Reflexivity normalization (Section 2 axioms), as in FinishRow
+  // (row_kernels.cc).
   for (size_t i = 0; i < sources.size(); ++i) {
     rows[i].comp[sources[i]] = 1;
-    rows[i].dist[sources[i]] = 0;
+    rows[i].dist.Set(sources[i], 0);
   }
   return rows;
 }

@@ -38,14 +38,15 @@
 // not-yet-complete nodes (direction-optimizing BFS, Beamer et al.,
 // SC 2012), which reads the compact SoA adjacency sequentially.
 //
-// The engine reproduces the scalar row kernels bit-for-bit in comp and
-// dist for SPA, SPO, SPM, DPE and NNE. SPM rows match in `saturated` too:
-// a count that carries out of the top plane flags its lane, and the block
-// recomputes that lane with the scalar kernel, so a block row saturates
-// exactly when the scalar row does (at 2^64). The existence relations keep
-// no counts, so their block rows never set `saturated` (the scalar SPA/SPO
-// kernels can, on > 2^64 shortest paths; the flag never changes their comp
-// or dist). The threshold relation and custom kernels stay scalar.
+// The engine reproduces the scalar row kernels bit-for-bit in comp and dist for
+// SPA, SPO, SPM, DPE and NNE, with each row's distances at the same width
+// (RowDistances) as the scalar row's. SPM rows match in `saturated` too: a
+// count that carries out of the top plane flags its lane, and the block
+// recomputes that lane with the scalar kernel, so a block row saturates exactly
+// when the scalar row does (at 2^64). The existence relations keep no counts,
+// so their block rows never set `saturated` (the scalar SPA/SPO kernels can,
+// on > 2^64 shortest paths; the flag never changes their comp or dist). The
+// threshold relation and custom kernels stay scalar.
 
 #pragma once
 

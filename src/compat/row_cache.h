@@ -11,7 +11,8 @@
 //
 //   Tier 0 — in-memory rows. With options.compress the resident form is a
 //     compressed blob (row_codec.h: bit-packed comp + bit-packed/RLE
-//     distances, typically 5-10x smaller than the dense row), decoded on
+//     distances, typically 5-10x smaller than a row with 4-byte
+//     distances, ~2-4x smaller than a flat row at 1 byte), decoded on
 //     pin into the usual shared_ptr<const CompatRow>. The *blob* is what
 //     the byte budget charges, so a given budget holds proportionally
 //     more rows. A weak_ptr memoizes the live decode: while any caller
@@ -60,9 +61,11 @@ class RowSpillStore;
 
 /// Cache tuning. Budgets are split evenly across shards.
 struct RowCacheOptions {
-  /// Total byte budget across shards (0 = unbounded). A dense row costs
-  /// roughly 5 bytes per graph node; a compressed one typically 5-10x
-  /// less, and the budget charges the resident (compressed) size.
+  /// Total byte budget across shards (0 = unbounded). A flat row costs
+  /// CompatRow::ByteSize(): 1 comp byte plus 1, 2 or 4 distance bytes per
+  /// graph node (2 bytes per node while every distance is at most 254); a
+  /// compressed one typically a few times less, and the budget charges
+  /// the resident (compressed) size.
   size_t max_bytes = 256ull << 20;
   /// Total row-count budget (0 = unbounded). With several shards the cap
   /// is approximate: each shard holds at most max(1, max_rows / shards).

@@ -75,11 +75,8 @@ uint32_t UnmapDist(uint32_t m) { return m == 0 ? kUnreachable : m - 1; }
 // Lane width for bit-packing: the smallest b whose all-ones sentinel
 // (reserved for kUnreachable) still exceeds every finite distance.
 // 0 when the row cannot be packed within kMaxPackBits.
-uint32_t PackBitsFor(const std::vector<uint32_t>& dist) {
-  uint32_t max_finite = 0;
-  for (uint32_t d : dist) {
-    if (d != kUnreachable) max_finite = std::max(max_finite, d);
-  }
+uint32_t PackBitsFor(const RowDistances& dist) {
+  const uint32_t max_finite = dist.MaxFinite();
   for (uint32_t b = 1; b <= kMaxPackBits; ++b) {
     if (max_finite < (1u << b) - 1u) return b;
   }
@@ -88,14 +85,15 @@ uint32_t PackBitsFor(const std::vector<uint32_t>& dist) {
 
 size_t BitPackedSize(size_t n, uint32_t bits) { return (n * bits + 7) / 8; }
 
-void EncodeBitPacked(const std::vector<uint32_t>& dist, uint32_t bits,
+void EncodeBitPacked(const RowDistances& dist, uint32_t bits,
                      std::vector<uint8_t>* out) {
   const uint32_t sentinel = (1u << bits) - 1u;
   const size_t start = out->size();
   out->resize(start + BitPackedSize(dist.size(), bits), 0);
   uint8_t* bytes = out->data() + start;
   size_t bit_pos = 0;
-  for (uint32_t d : dist) {
+  for (size_t i = 0; i < dist.size(); ++i) {
+    const uint32_t d = dist[i];
     const uint32_t v = d == kUnreachable ? sentinel : d;
     for (uint32_t b = 0; b < bits; ++b, ++bit_pos) {
       bytes[bit_pos >> 3] |=
@@ -125,7 +123,7 @@ bool DecodeBitPacked(std::span<const uint8_t> blob, size_t* pos, uint32_t bits,
 }
 
 // RLE over mapped values: (varint value, varint run_length) pairs.
-size_t RleSize(const std::vector<uint32_t>& dist) {
+size_t RleSize(const RowDistances& dist) {
   size_t total = 0;
   for (size_t i = 0; i < dist.size();) {
     size_t j = i + 1;
@@ -137,7 +135,7 @@ size_t RleSize(const std::vector<uint32_t>& dist) {
   return total;
 }
 
-void EncodeRle(const std::vector<uint32_t>& dist, std::vector<uint8_t>* out) {
+void EncodeRle(const RowDistances& dist, std::vector<uint8_t>* out) {
   for (size_t i = 0; i < dist.size();) {
     size_t j = i + 1;
     while (j < dist.size() && dist[j] == dist[i]) ++j;
@@ -227,7 +225,7 @@ std::vector<uint8_t> EncodeRow(const CompatRow& row) {
       EncodeRle(row.dist, &blob);
       break;
     default:
-      for (uint32_t d : row.dist) PutU32(&blob, d);
+      for (size_t i = 0; i < n_dist; ++i) PutU32(&blob, row.dist[i]);
       break;
   }
   return blob;
@@ -263,24 +261,27 @@ bool DecodeRow(std::span<const uint8_t> blob, CompatRow* row) {
     pos += payload;
   }
 
-  row->dist.assign(n_dist, 0);
+  // The payload decodes to plain distances first; the store then takes
+  // the narrowest width that holds them.
+  std::vector<uint32_t> dist(n_dist, 0);
   switch (dist_tag) {
     case kDistRaw:
       if (blob.size() - pos < n_dist * sizeof(uint32_t)) return false;
       for (size_t i = 0; i < n_dist; ++i) {
-        row->dist[i] = GetU32(blob.data() + pos + i * sizeof(uint32_t));
+        dist[i] = GetU32(blob.data() + pos + i * sizeof(uint32_t));
       }
       pos += n_dist * sizeof(uint32_t);
       break;
     case kDistBitPacked:
-      if (!DecodeBitPacked(blob, &pos, dist_bits, &row->dist)) return false;
+      if (!DecodeBitPacked(blob, &pos, dist_bits, &dist)) return false;
       break;
     case kDistRle:
-      if (!DecodeRle(blob, &pos, &row->dist)) return false;
+      if (!DecodeRle(blob, &pos, &dist)) return false;
       break;
     default:
       return false;
   }
+  row->dist = RowDistances(dist);
   return pos == blob.size();
 }
 

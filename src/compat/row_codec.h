@@ -1,17 +1,18 @@
 // Compressed wire/cache format for CompatRow — tier 0 of the tiered row
 // store (see row_cache.h).
 //
-// A dense CompatRow costs ~5 bytes per graph node (1-byte comp flag +
-// 4-byte distance); at Epinions scale that is ~145 KB per row and the row
-// working set dwarfs any realistic cache budget. Rows are however highly
-// compressible: comp is a 0/1 flag per node (bit-packable 8x) and dist is
-// a small BFS level bounded by the relation diameter (bit-packable to a
-// few bits) or long runs of kUnreachable on fragmented graphs (run-length
+// A flat CompatRow costs 1 comp byte plus 1, 2 or 4 distance bytes per graph
+// node (RowDistances keeps the narrowest width that holds the row's distances:
+// 2 bytes per node in all on typical graphs, ~29 KB per row at n = 14,427), so
+// the row working set can still outgrow a realistic cache budget. Rows are
+// however highly compressible: comp is a 0/1 flag per node (bit-packable 8x)
+// and dist is a small BFS level bounded by the relation diameter (bit-packable
+// to a few bits) or long runs of kUnreachable on fragmented graphs (run-length
 // encodable). EncodeRow picks the cheapest representation per section and
-// records the choice in a 12-byte header, so DecodeRow reconstructs the
-// row *bit-identically* — comp, dist, and the saturated flag — for every
-// relation, including hand-built rows whose comp values are not 0/1
-// (those fall back to raw bytes).
+// records the choice in a 12-byte header, so DecodeRow reconstructs the row
+// *bit-identically* — comp, dist, and the saturated flag — for every relation,
+// including hand-built rows whose comp values are not 0/1 (those fall back to
+// raw bytes).
 //
 // Blob layout (little-endian):
 //   u8  version (kRowCodecVersion)
@@ -49,9 +50,11 @@ std::vector<uint8_t> EncodeRow(const CompatRow& row);
 /// is truncated, malformed, or from an unknown codec version.
 bool DecodeRow(std::span<const uint8_t> blob, CompatRow* row);
 
-/// The dense in-memory footprint EncodeRow competes against: what the row
-/// occupies uncompressed (object + exact vector payloads, independent of
-/// capacity slack). Compression ratios are reported against this.
+/// The fixed reference footprint compression ratios are reported against:
+/// the row with 4-byte distances (object + comp + 4 bytes per distance,
+/// independent of capacity slack and of the store's width), so ratios stay
+/// comparable whatever width a row's distances take in memory. A flat
+/// row's resident bytes are CompatRow::ByteSize().
 inline size_t DenseRowBytes(const CompatRow& row) {
   return sizeof(CompatRow) + row.comp.size() * sizeof(uint8_t) +
          row.dist.size() * sizeof(uint32_t);

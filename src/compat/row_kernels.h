@@ -21,6 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,13 +55,110 @@ bool ParseCompatKind(const std::string& name, CompatKind* out);
 /// with SBPH just before SBP).
 std::vector<CompatKind> AllCompatKinds();
 
+/// Distances from a row's source to every node, each stored in the
+/// narrowest width that holds the row's finite values: 1 byte while every
+/// finite distance is at most 254, else 2 bytes (at most 65,534), else 4.
+/// Every width reserves its all-ones value for kUnreachable, so reads
+/// return kUnreachable exactly whatever the width. Path-length distances on
+/// real graphs are small, so a row usually costs 1 byte per node here
+/// instead of 4.
+///
+/// The constructors pick the narrowest width, and Set() widens the store
+/// in place when a value does not fit. Writes never narrow it: the kernels
+/// write each distance once, so their rows always sit at the narrowest
+/// width of their values, and a row costs the same bytes whichever kernel
+/// computed it. Entries live in one byte buffer and are read through byte
+/// offsets, so no access depends on the buffer's alignment.
+class RowDistances {
+ public:
+  /// Largest finite distance each width holds; one more is its sentinel.
+  static constexpr uint32_t kMax8 = 0xFE;
+  static constexpr uint32_t kMax16 = 0xFFFE;
+
+  RowDistances() = default;
+  /// `n` entries, all `value`.
+  RowDistances(size_t n, uint32_t value);
+  /// The values of `dense`, at the narrowest width that holds them.
+  explicit RowDistances(std::span<const uint32_t> dense);
+
+  size_t size() const { return size_; }
+  /// Bytes per entry: 1, 2 or 4.
+  uint32_t width() const { return width_; }
+
+  uint32_t operator[](size_t i) const {
+    switch (width_) {
+      case 1: return Load<uint8_t>(bytes_.data(), i);
+      case 2: return Load<uint16_t>(bytes_.data(), i);
+      default: return Load<uint32_t>(bytes_.data(), i);
+    }
+  }
+
+  /// Sets entry `i` to `d` (kUnreachable allowed), first widening the
+  /// store when `d` does not fit its width.
+  void Set(size_t i, uint32_t d) {
+    if (d != kUnreachable && d > MaxOf(width_)) Widen(WidthFor(d));
+    switch (width_) {
+      case 1: Store<uint8_t>(i, d); break;
+      case 2: Store<uint16_t>(i, d); break;
+      default: Store<uint32_t>(i, d); break;
+    }
+  }
+
+  /// out[j] = (*this)[index[j]] for every j, with the width resolved once
+  /// for the whole gather.
+  void Gather(std::span<const NodeId> index, uint32_t* out) const;
+
+  /// Largest finite entry (0 when there is none).
+  uint32_t MaxFinite() const;
+  /// The values as plain 4-byte distances.
+  std::vector<uint32_t> ToVector() const;
+
+  /// Heap bytes held, counting capacity (see CompatRow::ByteSize).
+  size_t capacity_bytes() const { return bytes_.capacity(); }
+  void ShrinkToFit() { bytes_.shrink_to_fit(); }
+
+  /// Value equality: stores of different widths holding the same values
+  /// compare equal.
+  friend bool operator==(const RowDistances& a, const RowDistances& b);
+
+  /// The narrowest width (1, 2 or 4) that holds `max_finite`.
+  static uint32_t WidthFor(uint32_t max_finite) {
+    return max_finite <= kMax8 ? 1 : max_finite <= kMax16 ? 2 : 4;
+  }
+
+ private:
+  static uint32_t MaxOf(uint32_t width) {
+    return width == 1 ? kMax8 : width == 2 ? kMax16 : kUnreachable - 1;
+  }
+  template <typename T>
+  static uint32_t Load(const uint8_t* base, size_t i) {
+    T v;
+    std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+    return v == static_cast<T>(~T{0}) ? kUnreachable : v;
+  }
+  template <typename T>
+  void Store(size_t i, uint32_t d) {
+    const T v = static_cast<T>(d);  // kUnreachable truncates to all-ones
+    std::memcpy(bytes_.data() + i * sizeof(T), &v, sizeof(T));
+  }
+  // Re-encodes every entry at the wider `width`.
+  void Widen(uint32_t width);
+
+  std::vector<uint8_t> bytes_;
+  size_t size_ = 0;
+  uint32_t width_ = 1;
+};
+
+/// Prints the values (gtest failure messages).
+void PrintTo(const RowDistances& dist, std::ostream* os);
+
 /// A per-source result: flags and distances from a fixed query node to
 /// every node in the graph.
 struct CompatRow {
   /// comp[x] != 0 iff (source, x) is in the relation.
   std::vector<uint8_t> comp;
   /// Relation-specific distance; kUnreachable possible.
-  std::vector<uint32_t> dist;
+  RowDistances dist;
   /// True when an underlying shortest-path counter saturated while this
   /// row was computed (SP-family kernels only; see SignedBfsResult). The
   /// row is still sound for SPA/SPO; SPM majority tests may be distorted
@@ -66,19 +166,20 @@ struct CompatRow {
   bool saturated = false;
 
   /// Approximate heap + object footprint, used by the RowCache byte
-  /// budget. Counts capacity, not size: after moves the two vectors'
-  /// capacities can diverge from their sizes, so the cache calls
-  /// ShrinkToFit() first to keep its byte accounting honest.
+  /// budget: 1 comp byte plus dist.width() bytes per node. Counts
+  /// capacity, not size: after moves the buffers' capacities can diverge
+  /// from their sizes, so the cache calls ShrinkToFit() first to keep its
+  /// byte accounting honest.
   size_t ByteSize() const {
     return sizeof(CompatRow) + comp.capacity() * sizeof(uint8_t) +
-           dist.capacity() * sizeof(uint32_t);
+           dist.capacity_bytes();
   }
 
-  /// Releases excess vector capacity so ByteSize() reflects the bytes the
-  /// row actually needs.
+  /// Releases excess capacity so ByteSize() reflects the bytes the row
+  /// actually needs.
   void ShrinkToFit() {
     comp.shrink_to_fit();
-    dist.shrink_to_fit();
+    dist.ShrinkToFit();
   }
 };
 

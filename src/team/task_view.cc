@@ -122,9 +122,7 @@ const uint32_t* TaskCompatView::FillDistRow(
   if (row == nullptr) {
     std::fill(dist, dist + m_, kUnreachable);
   } else {
-    const uint32_t* dist_src = row->dist.data();
-    const NodeId* uni = universe_.data();
-    for (size_t j = 0; j < m_; ++j) dist[j] = dist_src[uni[j]];
+    row->dist.Gather(universe_, dist);
   }
   dist_rows_[local].store(dist, std::memory_order_release);
   return dist;

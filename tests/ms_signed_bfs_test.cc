@@ -3,13 +3,15 @@
 // most 5 nodes, randomized equivalence on Erdős–Rényi and generator-family
 // graphs across batch sizes (1, 63, 64, and >64 through the oracle's block
 // split), ragged tails (n < 64), duplicate sources, distance equality, the
-// SPM count planes' overflow recomputation on a path-doubling ladder, and
-// the saturation-flag semantics of batched rows.
+// per-lane widening of the distance store on long paths, the SPM count
+// planes' overflow recomputation on a path-doubling ladder, and the
+// saturation-flag semantics of batched rows.
 
 #include "src/compat/ms_signed_bfs.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -27,14 +29,17 @@ constexpr CompatKind kBatchKinds[] = {CompatKind::kSPA, CompatKind::kSPO,
                                       CompatKind::kSPM, CompatKind::kDPE,
                                       CompatKind::kNNE};
 
-// Block rows equal scalar rows in comp and dist; SPM rows (the engine's
-// only counting relation) also in the saturated flag.
+// Block rows equal scalar rows in comp, dist and the dist store's width
+// (one representation per row, whichever kernel computed it); SPM rows (the
+// engine's only counting relation) also in the saturated flag.
 void ExpectRowsEqual(const CompatRow& batched, const CompatRow& scalar,
                      CompatKind kind, NodeId q) {
   EXPECT_EQ(batched.comp, scalar.comp)
       << CompatKindName(kind) << " comp mismatch, source " << q;
   EXPECT_EQ(batched.dist, scalar.dist)
       << CompatKindName(kind) << " dist mismatch, source " << q;
+  EXPECT_EQ(batched.dist.width(), scalar.dist.width())
+      << CompatKindName(kind) << " dist width mismatch, source " << q;
   if (kind == CompatKind::kSPM) {
     EXPECT_EQ(batched.saturated, scalar.saturated)
         << "SPM saturated mismatch, source " << q;
@@ -237,8 +242,52 @@ TEST(MsSignedBfsTest, DistancesEqualPlainBfsLevels) {
   std::vector<NodeId> sources = SampleSources(g, 64, &rng);
   auto rows = ComputeCompatRowBlock(g, CompatKind::kSPO, sources);
   for (size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(rows[i].dist, BfsDistances(g, sources[i])) << sources[i];
+    EXPECT_EQ(rows[i].dist.ToVector(), BfsDistances(g, sources[i]))
+        << sources[i];
   }
+}
+
+// A path 0 - 1 - ... - (n-1) whose edges alternate in sign; the farthest
+// node from source s is max(s, n - 1 - s) hops away.
+SignedGraph AlternatingPath(uint32_t n) {
+  SignedGraphBuilder b(n);
+  for (NodeId u = 0; u + 1 < n; ++u) {
+    b.AddEdge(u, u + 1, u % 2 == 0 ? Sign::kPositive : Sign::kNegative)
+        .CheckOK();
+  }
+  return std::move(b.Build()).ValueOrDie();
+}
+
+TEST(MsSignedBfsTest, LanesWidenTheirOwnRowsPastLevel254) {
+  // On a 400-node path, sources 145 and 200 never pass level 254 while 144,
+  // 100, 0 and 399 do: in one block, each row keeps the width of its own
+  // values and equals the scalar row (CheckBlock compares widths too).
+  SignedGraph g = AlternatingPath(400);
+  const std::vector<NodeId> sources = {145, 0, 200, 144, 399, 100};
+  for (CompatKind kind : kBatchKinds) CheckBlock(g, kind, sources);
+  auto rows = ComputeCompatRowBlock(g, CompatKind::kSPM, sources);
+  const uint32_t widths[] = {1, 2, 1, 2, 2, 2};
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(rows[i].dist.width(), widths[i]) << sources[i];
+    EXPECT_EQ(rows[i].dist.MaxFinite(),
+              std::max(sources[i], 399 - sources[i]));
+  }
+}
+
+TEST(MsSignedBfsTest, LanesWidenTheirOwnRowsPastLevel65534) {
+  // 65,540 nodes: from source 5 the farthest node is 65,534 hops away (2
+  // bytes), from 4 it is 65,535 (4 bytes); 32,770 stays at 2 bytes.
+  constexpr uint32_t kNodes = 65540;
+  SignedGraph g = AlternatingPath(kNodes);
+  const std::vector<NodeId> sources = {5, 4, 32770};
+  for (CompatKind kind : {CompatKind::kSPM, CompatKind::kSPA}) {
+    CheckBlock(g, kind, sources);
+  }
+  auto rows = ComputeCompatRowBlock(g, CompatKind::kSPM, sources);
+  EXPECT_EQ(rows[0].dist.width(), 2u);
+  EXPECT_EQ(rows[1].dist.width(), 4u);
+  EXPECT_EQ(rows[2].dist.width(), 2u);
+  EXPECT_EQ(rows[1].dist[kNodes - 1], kNodes - 5);
 }
 
 TEST(MsSignedBfsTest, SignFlipPropagation) {

@@ -26,7 +26,7 @@ namespace {
 CompatRow TestRow(uint32_t n, uint8_t fill) {
   CompatRow row;
   row.comp.assign(n, fill);
-  row.dist.assign(n, fill);
+  row.dist = RowDistances(n, fill);
   return row;
 }
 
@@ -231,10 +231,10 @@ TEST(RowCacheTest, CompressedByteBudgetHonoredUnderChurn) {
     const uint32_t n = 50 + static_cast<uint32_t>(rng.Next() % 400);
     CompatRow row;
     row.comp.resize(n);
-    row.dist.resize(n);
+    row.dist = RowDistances(n, 0);
     for (uint32_t j = 0; j < n; ++j) {
       row.comp[j] = static_cast<uint8_t>(rng.Next() % 2);
-      row.dist[j] = static_cast<uint32_t>(rng.Next() % 1000);
+      row.dist.Set(j, static_cast<uint32_t>(rng.Next() % 1000));
     }
     cache.Insert(static_cast<uint64_t>(i), std::move(row));
     if (i % 3 == 0) cache.Get(static_cast<uint64_t>(rng.Next() % (i + 1)));

@@ -182,7 +182,7 @@ TEST(RowSpillTest, ClearTruncatesSegments) {
 CompatRow SpillTestRow(uint32_t n, uint8_t fill) {
   CompatRow row;
   row.comp.assign(n, static_cast<uint8_t>(fill % 2));
-  row.dist.assign(n, fill);
+  row.dist = RowDistances(n, fill);
   return row;
 }
 

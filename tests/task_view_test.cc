@@ -10,6 +10,7 @@
 
 #include <algorithm>
 
+#include "src/compat/row_codec.h"
 #include "src/compat/skill_index.h"
 #include "src/compat/threshold.h"
 #include "src/gen/generators.h"
@@ -317,6 +318,19 @@ TEST(TaskViewTest, GraphAboveUint16DistancesFormsOnView) {
     EXPECT_EQ(via_view.members, (std::vector<NodeId>{0, kNodes - 1}));
     EXPECT_EQ(via_view.cost, kNodes - 1) << CompatKindName(kind);
     EXPECT_EQ(former.oracle_fallbacks(), 0u) << CompatKindName(kind);
+  }
+  // The scalar rows from the ends hold distances past 65,534 (4-byte
+  // store), the one from the middle does not (2 bytes); each round-trips
+  // through the codec with its values and width.
+  for (const NodeId q : {NodeId{0}, kNodes - 1, kNodes / 2}) {
+    const CompatRow row = ComputeCompatRow(g, CompatKind::kSPM, {}, q);
+    EXPECT_EQ(row.dist.width(), q == kNodes / 2 ? 2u : 4u) << q;
+    EXPECT_EQ(row.dist.MaxFinite(), std::max(q, kNodes - 1 - q)) << q;
+    CompatRow decoded;
+    ASSERT_TRUE(DecodeRow(EncodeRow(row), &decoded)) << q;
+    EXPECT_EQ(decoded.comp, row.comp) << q;
+    EXPECT_EQ(decoded.dist, row.dist) << q;
+    EXPECT_EQ(decoded.dist.width(), row.dist.width()) << q;
   }
 }
 
